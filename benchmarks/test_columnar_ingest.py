@@ -18,7 +18,7 @@ Sweep: 10k and 100k machines x 16 metrics, 2% of samples missing
 (its API).  The acceptance floor from the PR is asserted directly:
 >= 5x faster epoch close at 100k machines.
 
-Set ``COLUMNAR_INGEST_QUICK=1`` (the CI smoke job does) for a reduced
+Set ``COLUMNAR_INGEST_QUICK=1`` (the CI perf wall does) for a reduced
 10k-machine sweep with a 2x floor.
 """
 
@@ -140,7 +140,7 @@ def test_columnar_ingest():
         "timing is reported.",
         f"floor asserted: >={CLOSE_SPEEDUP_FLOOR:.0f}x faster close at "
         f"{SIZES[-1]} machines.",
-        "mode = %s" % ("quick (CI smoke)" if QUICK else "full"),
+        "mode = %s" % ("quick (CI perf wall)" if QUICK else "full"),
     ]
     publish("columnar_ingest", "\n".join(lines))
     publish_json("columnar", {

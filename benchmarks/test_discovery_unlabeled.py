@@ -9,8 +9,7 @@ of at least 0.85 against the hidden truth partition.  The supervised
 ceiling — the same stream with an oracle diagnosing every crisis as it
 ends — is reported alongside for context.
 
-Set ``DISCOVERY_UNLABELED_QUICK=1`` (the CI smoke job and the perf
-wall do) for the unit-test-scale simulation with relaxed floors.
+Set ``DISCOVERY_UNLABELED_QUICK=1`` (the CI perf wall does) for the unit-test-scale simulation with relaxed floors.
 """
 
 import os

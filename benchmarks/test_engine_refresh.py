@@ -10,7 +10,7 @@ asserted per refresh.  The end-to-end
 wall-clock is reported alongside; its threshold cache rides the same
 engine.
 
-Set ``ENGINE_REFRESH_QUICK=1`` (the CI smoke job does) for a reduced
+Set ``ENGINE_REFRESH_QUICK=1`` (the CI perf wall does) for a reduced
 30-day/40-metric sweep with the same parity assertions and a relaxed
 speedup floor.
 """
@@ -128,7 +128,7 @@ def test_engine_refresh(request):
         "%-44s %10.2f s" % ("parameter precompute", precompute_s),
         "%-44s %10.2f s" % ("online run (%d permutations)" % n_runs, run_s),
         "",
-        "mode = %s" % ("quick (CI smoke)" if QUICK else "full"),
+        "mode = %s" % ("quick (CI perf wall)" if QUICK else "full"),
     ]
     publish("engine_refresh", "\n".join(lines))
     publish_json("engine_refresh", {

@@ -13,7 +13,7 @@ worker processes; the table reports each shard's busy time so the
 partitioning is visible even on hosts where the workers time-slice a
 single core.
 
-Set ``FLEET_SCALING_QUICK=1`` (the CI smoke job does) for a reduced
+Set ``FLEET_SCALING_QUICK=1`` (the CI perf wall does) for a reduced
 2000-machine sweep at 1/2 workers with a 1.5x floor.
 """
 
@@ -57,7 +57,7 @@ def test_fleet_scaling():
         "against total s for the partitioning picture on 1-cpu hosts.",
         f"floor asserted at {WORKER_COUNTS[-1]} workers: "
         f">={SPEEDUP_FLOOR:.1f}x over the single-process baseline.",
-        "mode = %s" % ("quick (CI smoke)" if QUICK else "full"),
+        "mode = %s" % ("quick (CI perf wall)" if QUICK else "full"),
     ]
     publish("fleet_scaling", "\n".join(lines))
     publish_json("fleet_scaling", {

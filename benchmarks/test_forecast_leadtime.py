@@ -30,8 +30,7 @@ Relevant metrics are selected from training-period detections only
 (the unlabeled Section 3.4 selection), so nothing from the held-out
 period leaks into the model.
 
-Set ``FORECAST_LEADTIME_QUICK=1`` (the CI smoke job and the perf wall
-do) for the unit-test-scale simulation with relaxed floors.
+Set ``FORECAST_LEADTIME_QUICK=1`` (the CI perf wall does) for the unit-test-scale simulation with relaxed floors.
 """
 
 import os

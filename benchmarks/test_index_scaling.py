@@ -8,8 +8,8 @@ LSH recall@10 against exact truth.  The acceptance floor of the index
 PR is asserted directly: at the largest size the exact backend must be
 >= 10x faster than the loop scan, and LSH recall must stay >= 0.9.
 
-Set ``INDEX_SCALING_QUICK=1`` (the CI smoke job does) to run a reduced
-1k/5k sweep with the same assertions.
+Set ``INDEX_SCALING_QUICK=1`` (the CI perf wall's rerun does) to run a
+reduced 1k/5k sweep with the same assertions.
 """
 
 import os
@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.index import BruteForceIndex, KDTreeIndex, LSHIndex
+from repro.index import BruteForceIndex, LSHIndex
 
 from conftest import publish, publish_json
 
@@ -64,8 +64,8 @@ def test_index_scaling():
         "Fingerprint index scaling: per-query k-NN latency (k=%d, dim=%d)"
         % (K, DIM),
         "",
-        "%8s %12s %10s %10s %10s %9s %9s"
-        % ("n", "scan ms/q", "brute", "kdtree", "lsh", "speedup", "recall@10"),
+        "%8s %12s %10s %10s %9s %9s"
+        % ("n", "scan ms/q", "brute", "lsh", "speedup", "recall@10"),
     ]
     largest_speedup = None
     largest_recall = None
@@ -82,11 +82,6 @@ def test_index_scaling():
         brute.query(queries[0], k=K)  # warm
         brute_ms = per_query_ms(lambda q: brute.query(q, k=K), queries)
 
-        kdtree = KDTreeIndex(DIM)
-        kdtree.add_batch(points)
-        kdtree.query(queries[0], k=K)  # triggers the build
-        kd_ms = per_query_ms(lambda q: kdtree.query(q, k=K), queries)
-
         lsh = LSHIndex(DIM, seed=0)
         lsh.add_batch(points)
         lsh.query(queries[0], k=K)  # freezes width, hashes
@@ -97,16 +92,16 @@ def test_index_scaling():
         recall = float(
             np.mean([len(t & g) / K for t, g in zip(truth, got)])
         )
-        best_ms = min(brute_ms, kd_ms, lsh_ms)
+        best_ms = min(brute_ms, lsh_ms)
         speedup = scan_ms / best_ms
         largest_speedup, largest_recall = speedup, recall
         lines.append(
-            "%8d %12.3f %10.3f %10.3f %10.3f %8.1fx %9.3f"
-            % (n, scan_ms, brute_ms, kd_ms, lsh_ms, speedup, recall)
+            "%8d %12.3f %10.3f %10.3f %8.1fx %9.3f"
+            % (n, scan_ms, brute_ms, lsh_ms, speedup, recall)
         )
         rows.append({
             "n": n, "scan_ms_per_q": scan_ms, "brute_ms_per_q": brute_ms,
-            "kdtree_ms_per_q": kd_ms, "lsh_ms_per_q": lsh_ms,
+            "lsh_ms_per_q": lsh_ms,
             "speedup": speedup, "recall_at_10": recall,
         })
 
@@ -117,7 +112,7 @@ def test_index_scaling():
         "speedup = scan vs. fastest backend at that size; floors asserted "
         "at the largest size: >=%.0fx speedup, >=%.2f LSH recall@10."
         % (SPEEDUP_FLOOR, RECALL_FLOOR),
-        "mode = %s" % ("quick (CI smoke)" if QUICK else "full"),
+        "mode = %s" % ("quick (CI perf wall)" if QUICK else "full"),
     ]
     publish("index_scaling", "\n".join(lines))
     publish_json("index_scaling", {

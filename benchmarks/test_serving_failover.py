@@ -13,8 +13,7 @@ loopback TCP:
   controller promote the standby, and measure wall clock from the kill
   to the survivor acking writes at a fresh fencing epoch.
 
-Set ``SERVING_FAILOVER_QUICK=1`` (the CI smoke job and the perf wall
-do) for a reduced run with the same phases and relaxed floors.
+Set ``SERVING_FAILOVER_QUICK=1`` (the CI perf wall does) for a reduced run with the same phases and relaxed floors.
 """
 
 import os
@@ -147,7 +146,7 @@ def test_serving_failover(tmp_path):
         "",
         "floors: >=%.0f reports/s, lag <= %.0f s, promotion <= %.0f s"
         % (THROUGHPUT_FLOOR, LAG_CEILING_S, PROMOTION_CEILING_S),
-        "mode = %s" % ("quick (CI smoke)" if QUICK else "full"),
+        "mode = %s" % ("quick (CI perf wall)" if QUICK else "full"),
     ]
     publish("serving_failover", "\n".join(lines))
     publish_json("serving_replication", {

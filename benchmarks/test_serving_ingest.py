@@ -14,7 +14,7 @@ serve`` subprocess over loopback TCP:
   the first successful ``state`` response (checkpoint restore + journal
   replay + socket up).
 
-Set ``SERVING_INGEST_QUICK=1`` (the CI smoke job does) for a reduced
+Set ``SERVING_INGEST_QUICK=1`` (the CI perf wall does) for a reduced
 run with the same phases and relaxed floors.
 """
 
@@ -132,7 +132,7 @@ def test_serving_ingest(tmp_path):
         "",
         "floors: >=%.0f reports/s, recovery <= %.0f s"
         % (THROUGHPUT_FLOOR, RECOVERY_CEILING_S),
-        "mode = %s" % ("quick (CI smoke)" if QUICK else "full"),
+        "mode = %s" % ("quick (CI perf wall)" if QUICK else "full"),
     ]
     publish("serving_ingest", "\n".join(lines))
     publish_json("serving", {

@@ -8,7 +8,8 @@ from the repo root:
         [--only serving serving_replication] [--compare-only]
 
 Exit status 0 means no headline metric regressed more than the
-tolerance; 1 means at least one did (the rendered table says which).
+tolerance; 1 means at least one did, or a benchmark's quick rerun failed
+or wrote no fresh JSON (the rendered table says which).
 ``--compare-only`` skips the re-run and diffs the JSON files already in
 ``benchmarks/results/`` against themselves — useful to sanity-check the
 wall's coverage wiring without paying for a benchmark run.

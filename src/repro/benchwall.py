@@ -16,7 +16,10 @@ The default tolerance is 30% — wide enough that shared-runner noise
 does not page anyone, tight enough that an accidental O(n²) or a lost
 fast path cannot slip through.  Comparisons are only made like-for-like:
 a baseline recorded in ``"mode": "full"`` is *skipped* (with a visible
-reason) when the fresh run is quick, never silently compared.
+reason) when the fresh run is quick, never silently compared.  A rerun
+that fails (its asserted floors included) or writes no fresh JSON fails
+the wall: there is nothing to compare, and a broken benchmark is not a
+pass.
 
 ``scripts/perf_wall.py`` is the thin CLI wrapper; this module holds all
 the logic so tests can drive it without subprocesses.
@@ -207,6 +210,8 @@ class WallReport:
 
     checks: List[Check] = field(default_factory=list)
     skipped: Dict[str, str] = field(default_factory=dict)
+    #: Benchmarks whose quick rerun failed, with the reason.
+    failed: Dict[str, str] = field(default_factory=dict)
     tolerance: float = DEFAULT_TOLERANCE
 
     @property
@@ -215,7 +220,7 @@ class WallReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.failed
 
     def render(self) -> str:
         lines = [
@@ -234,10 +239,13 @@ class WallReport:
                 c.benchmark, c.metric, c.direction, c.baseline,
                 c.current, change, "  REGRESSED" if c.regressed else "",
             ))
+        for name, reason in sorted(self.failed.items()):
+            lines.append("%-22s FAILED: %s" % (name, reason))
         for name, reason in sorted(self.skipped.items()):
             lines.append("%-22s skipped: %s" % (name, reason))
         lines.append(
-            "FAIL: %d headline metric(s) regressed" % len(self.regressions)
+            "FAIL: %d headline metric(s) regressed, %d rerun(s) failed"
+            % (len(self.regressions), len(self.failed))
             if not self.ok else "OK: no headline regressions"
         )
         return "\n".join(lines)
@@ -298,14 +306,23 @@ def evaluate(
     fresh: Dict[str, dict],
     tolerance: float = DEFAULT_TOLERANCE,
     names: Optional[Sequence[str]] = None,
+    failed: Optional[Dict[str, str]] = None,
 ) -> WallReport:
-    """Compare every walled benchmark present in both runs."""
+    """Compare every walled benchmark present in both runs.
+
+    ``failed`` maps benchmarks whose rerun failed to the reason; they
+    fail the report instead of being compared or skipped.
+    """
     report = WallReport(tolerance=tolerance)
+    failed = failed or {}
     for name in sorted(names) if names is not None else sorted(HEADLINES):
         baseline = baselines.get(name)
         current = fresh.get(name)
         if baseline is None:
             report.skipped[name] = "no committed baseline"
+            continue
+        if name in failed:
+            report.failed[name] = failed[name]
             continue
         if current is None:
             report.skipped[name] = "no fresh run"
@@ -365,6 +382,7 @@ def run_wall(
 
     run = runner if runner is not None else default_runner
     fresh: Dict[str, dict] = {}
+    failed: Dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="benchwall-") as snap:
         snapshot = pathlib.Path(snap)
         saved: List[str] = []
@@ -383,9 +401,16 @@ def run_wall(
                 test_path, quick_env = BENCH_SOURCES[name]
                 if not (repo_root / test_path).exists():
                     continue
-                code = run(test_path, {quick_env: "1"})
+                # The baseline is snapshotted: remove it so that a JSON
+                # found after the rerun can only be the rerun's own.
                 fresh_path = results_dir / f"BENCH_{name}.json"
-                if code == 0 and fresh_path.exists():
+                fresh_path.unlink()
+                code = run(test_path, {quick_env: "1"})
+                if code != 0:
+                    failed[name] = f"quick rerun exited {code}"
+                elif not fresh_path.exists():
+                    failed[name] = "quick rerun wrote no fresh JSON"
+                else:
                     fresh[name] = load_bench(fresh_path)
         finally:
             if results_dir.exists():
@@ -394,7 +419,7 @@ def run_wall(
                         leftover.unlink()
             for filename in saved:
                 shutil.copy2(snapshot / filename, results_dir / filename)
-    return evaluate(baselines, fresh, tolerance, names=names)
+    return evaluate(baselines, fresh, tolerance, names=names, failed=failed)
 
 
 __all__ = [

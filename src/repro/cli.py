@@ -96,7 +96,7 @@ def _add_index(sub: argparse._SubParsersAction) -> None:
     b.add_argument("trace", help="path of a saved .npz trace")
     b.add_argument("output", help="path of the index archive to write")
     b.add_argument("--backend", default="brute",
-                   choices=("brute", "kdtree", "lsh"))
+                   choices=("brute", "lsh"))
     b.add_argument("--relevant-metrics", type=int, default=30)
     b.add_argument("--synthetic", type=int, default=0,
                    help="pad the index with jittered synthetic "

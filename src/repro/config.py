@@ -233,12 +233,11 @@ class IndexConfig:
 
     ``backend`` selects the :mod:`repro.index` implementation used for
     nearest-neighbor matching: ``"brute"`` (exact, the default — results
-    are bit-identical to a linear scan), ``"kdtree"`` (exact, sub-linear
-    for mid-size libraries) or ``"lsh"`` (approximate, sub-linear at
-    scale; see ``docs/index.md`` for the measured recall contract).  The
-    LSH parameters mirror :class:`repro.index.LSHIndex`; ``lsh_width``
-    of ``None`` freezes the bucket width automatically from the data
-    scale.
+    are bit-identical to a linear scan) or ``"lsh"`` (approximate,
+    sub-linear at scale; see ``docs/index.md`` for the measured recall
+    contract).  The LSH parameters mirror :class:`repro.index.LSHIndex`;
+    ``lsh_width`` of ``None`` freezes the bucket width automatically
+    from the data scale.
     """
 
     backend: str = "brute"
@@ -248,7 +247,7 @@ class IndexConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("brute", "kdtree", "lsh"):
+        if self.backend not in ("brute", "lsh"):
             raise ValueError(f"unknown index backend {self.backend!r}")
         if self.lsh_tables <= 0 or self.lsh_hashes <= 0:
             raise ValueError("lsh_tables and lsh_hashes must be positive")
@@ -333,7 +332,7 @@ class DiscoveryConfig:
             raise ValueError("min_promote_size must be positive")
         if self.history_limit < 1:
             raise ValueError("history_limit must be positive")
-        if self.backend not in ("brute", "kdtree", "lsh"):
+        if self.backend not in ("brute", "lsh"):
             raise ValueError(f"unknown index backend {self.backend!r}")
         if not self.label_prefix:
             raise ValueError("label_prefix must be non-empty")

@@ -294,7 +294,7 @@ class StreamingCrisisMonitor:
         if index is None:
             dim = int(self.relevant.size) * self.config.quantiles.count
             kwargs = cfg.backend_kwargs()
-            if cfg.backend in ("brute", "kdtree"):
+            if cfg.backend == "brute":
                 kwargs["dtype"] = np.float64
             index = create_index(cfg.backend, dim, **kwargs)
             self._index_cache[k] = index

@@ -109,7 +109,7 @@ class OnlineClusterer:
 
     def _new_index(self) -> FingerprintIndex:
         kwargs: Dict[str, object] = {}
-        if self.config.backend in ("brute", "kdtree"):
+        if self.config.backend == "brute":
             # float64 storage keeps assignment distances bit-identical
             # across snapshot/restore.
             kwargs["dtype"] = np.float64

@@ -42,6 +42,7 @@ from repro.config import DiscoveryConfig
 from repro.core.atomicio import atomic_write_npz, pack_header, unpack_header
 from repro.core.identification import UNKNOWN, is_stable, sequence_label
 from repro.discovery.clusterer import OnlineClusterer
+from repro.index.snapshot import live_backend
 
 #: Format version of standalone discovery state archives.
 DISCOVERY_FORMAT_VERSION = 1
@@ -299,7 +300,9 @@ class DiscoveryEngine:
         prefix: str = "",
         incidents=None,
     ) -> "DiscoveryEngine":
-        config = DiscoveryConfig(**header["config"])
+        fields = dict(header["config"])
+        fields["backend"] = live_backend(fields["backend"])
+        config = DiscoveryConfig(**fields)
         engine = cls(config, incidents=incidents)
         engine.clusterer = OnlineClusterer.from_snapshot(
             header["clusterer"], arrays, config=config, prefix=prefix

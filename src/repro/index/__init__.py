@@ -12,7 +12,6 @@ from repro.index.base import (
     create_index,
 )
 from repro.index.brute import BruteForceIndex
-from repro.index.kdtree import KDTreeIndex
 from repro.index.lsh import LSHIndex
 from repro.index.snapshot import (
     INDEX_FORMAT_VERSION,
@@ -26,7 +25,6 @@ __all__ = [
     "BruteForceIndex",
     "FingerprintIndex",
     "INDEX_FORMAT_VERSION",
-    "KDTreeIndex",
     "LSHIndex",
     "Neighbor",
     "backend_class",

@@ -5,13 +5,11 @@ search over crisis fingerprints.  At 20 crises a linear scan is fine; at
 fleet scale (every crisis across every cluster, plus synthetic variants)
 identification must be sub-linear and incrementally updatable.  This
 package provides that subsystem: a single :class:`FingerprintIndex`
-interface with three interchangeable backends —
+interface with two interchangeable backends —
 
 * :class:`~repro.index.brute.BruteForceIndex` — exact, vectorized,
   blocked Gram-matrix distances over a contiguous matrix.  The default:
   bit-identical to the historical Python-loop scan.
-* :class:`~repro.index.kdtree.KDTreeIndex` — exact, sub-linear for
-  mid-size libraries in the fingerprint's moderate dimensionality.
 * :class:`~repro.index.lsh.LSHIndex` — approximate, seeded p-stable
   locality-sensitive hashing for sub-linear matching at scale, with a
   measured recall contract (see ``docs/index.md``).
@@ -51,7 +49,7 @@ class FingerprintIndex(ABC):
     reported distance.
     """
 
-    #: Registry name of the backend ("brute", "kdtree", "lsh").
+    #: Registry name of the backend ("brute", "lsh").
     backend: str = ""
 
     def __init__(self, dim: int):

@@ -21,6 +21,16 @@ from repro.index.base import FingerprintIndex, backend_class
 #: Format version embedded in every standalone index archive.
 INDEX_FORMAT_VERSION = 1
 
+#: Retired backends and the live backend their archives load as.  The
+#: k-d tree was exact over the same :class:`~repro.index.store.VectorStore`
+#: payload as ``brute``, so brute restores it with the same answers.
+_RETIRED_BACKENDS = {"kdtree": "brute"}
+
+
+def live_backend(name: str) -> str:
+    """The backend an archive written under ``name`` loads as."""
+    return _RETIRED_BACKENDS.get(name, name)
+
 
 def index_to_arrays(
     index: FingerprintIndex, prefix: str = ""
@@ -45,7 +55,8 @@ def index_from_arrays(data, prefix: str = "") -> FingerprintIndex:
         for key in getattr(data, "files", data.keys())
         if key.startswith(prefix) and key != f"{prefix}header"
     }
-    return backend_class(header["backend"]).from_snapshot(header, arrays)
+    backend = live_backend(header["backend"])
+    return backend_class(backend).from_snapshot(header, arrays)
 
 
 def save_index(index: FingerprintIndex, path) -> None:
@@ -74,6 +85,7 @@ __all__ = [
     "INDEX_FORMAT_VERSION",
     "index_from_arrays",
     "index_to_arrays",
+    "live_backend",
     "load_index",
     "save_index",
 ]

@@ -30,9 +30,6 @@ from repro.serving import wire
 from repro.serving.wire import MalformedFrame
 from repro.telemetry.reliability import RetryPolicy
 
-#: Verbs the client stamps with its highest observed fencing token.
-_JOURNALED_OPS = ("report", "report_batch", "close_epoch", "diagnose")
-
 
 def synthetic_report(
     seed: int,
@@ -118,11 +115,11 @@ def workload(
 class ServingClient:
     """Pipelined JSON-lines client with resend-after-reconnect.
 
-    ``send`` enqueues a request into the pipeline; ``drain`` collects
-    acks.  Any frame without a terminal response when the connection
-    drops is resent on the next connect, in order.  Overload and
-    restarting sheds are retried after the server's ``retry_after``
-    hint (bounded by ``max_retries``).
+    ``request_many`` pipelines requests a window at a time and collects
+    their acks; ``request`` is a window of one.  Any frame without a
+    terminal response when the connection drops is resent on the next
+    connect, in order.  Overload and restarting sheds are retried after
+    the server's ``retry_after`` hint (bounded by ``max_retries``).
 
     **Failover.**  ``endpoints`` lists every serving node (primary and
     standbys).  Connection failures and ``standby`` / ``fenced``
@@ -244,7 +241,7 @@ class ServingClient:
 
     def _stamp(self, obj: dict) -> dict:
         """Attach the highest observed fencing token to a write."""
-        if self.fence > 0 and obj.get("op") in _JOURNALED_OPS:
+        if self.fence > 0 and obj.get("op") in wire.JOURNALED_OPS:
             return {**obj, "fence": self.fence}
         return obj
 
@@ -267,41 +264,10 @@ class ServingClient:
     def request(self, obj: dict) -> dict:
         """Send one request and wait for its terminal response.
 
-        Retries through overload/restarting sheds (honoring
-        ``retry_after``), connection drops (resending the request —
-        safe because requests are epoch-addressed), ``standby`` /
-        ``fenced`` rejections (rotating to the next endpoint), and
-        ``stale-fence`` rejections (adopting the newer token).
+        A window of one: :meth:`request_many` retries it through sheds,
+        reconnects, failovers and fencing-token updates.
         """
-        for _ in range(self.max_retries):
-            try:
-                self._sock.sendall(wire.encode_frame(self._stamp(obj)))
-                resp = self._read_response()
-            except (OSError, ConnectionError, MalformedFrame):
-                self._reconnect()
-                continue
-            err = None if resp.get("ok") else resp.get("error")
-            if err in ("overloaded", "restarting"):
-                self.retries += 1
-                if err == "overloaded":
-                    self.overloads += 1
-                time.sleep(min(float(resp.get("retry_after", 0.05)), 0.5))
-                continue
-            if err in ("standby", "fenced"):
-                self._absorb_fence(resp)
-                self.retries += 1
-                self._rotate()
-                continue
-            if err == "stale-fence":
-                self._absorb_fence(resp)
-                self.retries += 1
-                continue
-            self.responses.append(resp)
-            self.events.extend(resp.get("events") or [])
-            return resp
-        raise TimeoutError(
-            f"request not acknowledged after {self.max_retries} retries"
-        )
+        return self.request_many([obj], window=1)[0]
 
     def request_many(
         self, objs: Sequence[dict], window: int = 64
@@ -309,8 +275,12 @@ class ServingClient:
         """Pipeline requests ``window`` at a time, collecting all acks.
 
         The pipelined window is exactly the unacked set: if the
-        connection drops, the whole window is resent after reconnect.
-        Sheds within a window are retried individually.
+        connection drops, the whole window is resent after reconnect
+        (safe because requests are epoch-addressed).  Within a window,
+        overload/restarting sheds are retried after the server's
+        ``retry_after``, ``standby`` / ``fenced`` rejections rotate to
+        the next endpoint, and ``stale-fence`` rejections adopt the
+        newer token and retry.
         """
         out: List[dict] = []
         pending = list(objs)

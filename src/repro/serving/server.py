@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import ServingConfig
 from repro.serving import wire
@@ -56,9 +56,6 @@ logger = logging.getLogger(__name__)
 
 #: How statuses from the tenant/supervisor layer map onto the wire.
 _OK_STATUSES = {"applied", "duplicate"}
-
-#: Verbs that reach the journal (and therefore replication + fencing).
-_JOURNALED_OPS = ("report", "report_batch", "close_epoch", "diagnose")
 
 
 class IngestServer:
@@ -241,27 +238,21 @@ class IngestServer:
                         return
                     continue
                 *lines, buffer = buffer.split(b"\n")
-                handoff = self._find_subscribe(lines)
-                if handoff is not None:
-                    index, request = handoff
-                    responses = self._handle_lines(lines[:index])
-                    if responses:
-                        conn.sendall(b"".join(
-                            wire.encode_frame(r) for r in responses
-                        ))
-                    # The connection now belongs to the replication
-                    # hub: it pushes frames/heartbeats and reads acks
-                    # until the subscriber disappears or is reaped.
-                    conn.settimeout(None)
-                    self.hub.serve_subscriber(
-                        conn, addr, request, lines[index + 1:], buffer
-                    )
-                    return
-                responses = self._handle_lines(lines)
+                responses, handoff = self._handle_lines(lines)
                 if responses:
                     conn.sendall(b"".join(
                         wire.encode_frame(r) for r in responses
                     ))
+                if handoff is not None:
+                    # The connection now belongs to the replication
+                    # hub: it pushes frames/heartbeats and reads acks
+                    # until the subscriber disappears or is reaped.
+                    request, leftover = handoff
+                    conn.settimeout(None)
+                    self.hub.serve_subscriber(
+                        conn, addr, request, leftover, buffer
+                    )
+                    return
         except JournalTornWrite as exc:
             self._fatal(str(exc))
         except OSError:
@@ -271,25 +262,6 @@ class IngestServer:
                 conn.close()
             except OSError:
                 pass
-
-    def _find_subscribe(
-        self, lines: List[bytes]
-    ) -> Optional[Tuple[int, dict]]:
-        """Locate a valid ``repl_subscribe`` frame in a drained batch.
-
-        A malformed subscribe falls through to :meth:`_handle_lines`
-        and is answered with the usual ``malformed`` error.
-        """
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                request = wire.parse_request(wire.decode_frame(line))
-            except wire.MalformedFrame:
-                continue
-            if request["op"] == "repl_subscribe":
-                return i, request
-        return None
 
     def _admit(self, n: int) -> int:
         """Reserve in-flight slots; returns how many were granted."""
@@ -303,16 +275,25 @@ class IngestServer:
         with self._admission:
             self.inflight -= n
 
-    def _handle_lines(self, lines: List[bytes]) -> List[dict]:
+    def _handle_lines(
+        self, lines: List[bytes]
+    ) -> Tuple[List[dict], Optional[Tuple[dict, List[bytes]]]]:
         """Parse, admit, and dispatch one drained batch of frames.
 
-        Journaled verbs for the same tenant that sit adjacently in the
-        batch are dispatched together (one group commit); control verbs
-        are answered inline.  Response order matches frame order.
+        Each frame is decoded and validated exactly once.  Journaled
+        verbs for the same tenant that sit adjacently in the batch are
+        dispatched together (one group commit); control verbs are
+        answered inline.  Response order matches frame order.
+
+        Returns ``(responses, handoff)``.  A valid ``repl_subscribe``
+        ends the batch: ``handoff`` is that request plus the unparsed
+        lines after it, which belong to the replication hub (they are
+        the subscriber's acks).  Otherwise ``handoff`` is ``None``.
         """
         parsed: List[Tuple[Optional[dict], Optional[dict]]] = []
         admitted = 0
-        for line in lines:
+        handoff: Optional[Tuple[dict, List[bytes]]] = None
+        for i, line in enumerate(lines):
             if not line.strip():
                 continue  # blank keep-alive lines are ignored
             if len(line) > self.cfg.max_frame_bytes:
@@ -326,7 +307,10 @@ class IngestServer:
                     (None, wire.error_response("malformed", detail=str(exc)))
                 )
                 continue
-            if request["op"] in _JOURNALED_OPS:
+            if request["op"] == "repl_subscribe":
+                handoff = (request, lines[i + 1:])
+                break
+            if request["op"] in wire.JOURNALED_OPS:
                 if self.role != "primary":
                     # A standby never acks client writes: an ack here
                     # could be lost when the real primary's stream is
@@ -376,8 +360,7 @@ class IngestServer:
                 if request is None:
                     i += 1
                     continue
-                op = request["op"]
-                if op not in _JOURNALED_OPS:
+                if request["op"] not in wire.JOURNALED_OPS:
                     responses[i] = self._control(request)
                     i += 1
                     continue
@@ -390,7 +373,7 @@ class IngestServer:
                     if (
                         req_j is None
                         or req_j.get("tenant") != tenant
-                        or req_j["op"] not in _JOURNALED_OPS
+                        or req_j["op"] not in wire.JOURNALED_OPS
                     ):
                         break
                     batch.append(dict(req_j))
@@ -403,12 +386,12 @@ class IngestServer:
                 i = j
         finally:
             self._release(admitted)
-        return [r for r in responses if r is not None]
+        return [r for r in responses if r is not None], handoff
 
     def _wire_response(self, status: str, payload: dict) -> dict:
         if status in _OK_STATUSES:
-            # Batch acks carry n = machine reports the frame covered, so
-            # clients can tally per-machine acked/duplicate counts.
+            # Report acks carry n = machine reports the frame covered,
+            # so clients can tally per-machine acked/duplicate counts.
             extra = {"n": payload["n"]} if "n" in payload else {}
             return wire.ok_response(
                 seq=payload.get("seq"),
@@ -430,7 +413,7 @@ class IngestServer:
             return wire.error_response(
                 "fenced", fence=payload.get("fence")
             )
-        # bad-epoch / unknown-crisis: client-side errors.
+        # bad-epoch / bad-shape / unknown-crisis: client-side errors.
         return wire.error_response(status)
 
     def _control(self, request: dict) -> dict:
@@ -486,10 +469,6 @@ class IngestServer:
         if op == "repl_ack":
             # An ack outside a live subscription has nothing to update.
             return wire.error_response("not-subscribed")
-        if op == "repl_subscribe":
-            # Valid subscribes are handed off before dispatch; reaching
-            # here means the frame shared a drain with a handed-off one.
-            return wire.error_response("already-subscribed")
         # state / incidents / forecasts: one tenant's read-side
         # snapshot.  All read-only: an unknown name is an error, never a
         # freshly minted tenant directory (only journaled verbs create

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config import ServingConfig
 from repro.serving.fencing import FencingState, StaleFencingToken
 from repro.serving.journal import JournalTornWrite
-from repro.serving.tenant import APPLIED, BAD_EPOCH, DUPLICATE, TenantRuntime
+from repro.serving.tenant import APPLIED, TenantRuntime
 from repro.telemetry.reliability import RetryPolicy
 
 logger = logging.getLogger(__name__)
@@ -267,17 +267,7 @@ class TenantSupervisor:
         to_journal: List[dict] = []
         for record in records:
             op = record["op"]
-            if op in ("report", "report_batch", "close_epoch"):
-                epoch = record["epoch"]
-                if epoch < pred:
-                    plan = DUPLICATE
-                elif epoch > pred:
-                    plan = BAD_EPOCH
-                else:
-                    plan = APPLIED
-                    if op == "close_epoch":
-                        pred += 1
-            else:
+            if op == "diagnose":
                 # diagnose is classified at *apply* time, after earlier
                 # records in the batch have taken effect — a diagnose
                 # referencing a crisis that a close_epoch in this same
@@ -285,6 +275,10 @@ class TenantSupervisor:
                 # the pre-batch library.  An unknown crisis becomes a
                 # journaled no-op (idempotent on replay).
                 plan = APPLIED
+            else:
+                plan = runtime.classify(record, next_epoch=pred)
+                if plan == APPLIED and op == "close_epoch":
+                    pred += 1
             plans.append(plan)
             if plan == APPLIED:
                 to_journal.append(record)
@@ -319,8 +313,9 @@ class TenantSupervisor:
         responses: List[Tuple[str, dict]] = []
         crashed = False
         for record, plan in zip(records, plans):
-            # Batch acks carry how many machine reports they covered,
-            # so clients can account throughput without re-parsing.
+            # Report acks carry how many machine reports they covered
+            # (1 for a single report), so clients can account
+            # throughput without re-parsing.
             extra_fields = (
                 {"n": len(record["machines"])}
                 if record["op"] == "report_batch"

@@ -22,6 +22,11 @@ never re-applied), a report for the current epoch overwrites by machine
 id.  A client may therefore resend everything unacked after a reconnect
 without corrupting state.
 
+**One report record.**  Reports arrive as ``report_batch`` records (the
+wire parser turns a single ``report`` into a one-row batch); only
+recovery meets the ``report`` records of older journals, and converts
+them with the parser's own :func:`~repro.serving.wire.report_as_batch`.
+
 **Checkpoint cadence.**  Every ``checkpoint_every_epochs`` closed
 epochs, the runtime snapshots the monitor atomically with the journal
 cursor, agent-health counters, the retained event log, and the
@@ -50,7 +55,7 @@ from repro.core import checkpoint as ckpt
 from repro.core.columnar import EpochBlock
 from repro.core.streaming import StreamingCrisisMonitor
 from repro.serving.journal import WriteAheadJournal
-from repro.serving.wire import event_to_wire
+from repro.serving.wire import event_to_wire, report_as_batch
 from repro.telemetry.collector import EpochQuality
 from repro.telemetry.epochs import EpochClock
 from repro.telemetry.quantiles import summarize_epoch
@@ -60,6 +65,7 @@ from repro.telemetry.reliability import AgentHealthTracker
 APPLIED = "applied"
 DUPLICATE = "duplicate"
 BAD_EPOCH = "bad-epoch"
+BAD_SHAPE = "bad-shape"
 UNKNOWN_CRISIS = "unknown-crisis"
 
 
@@ -176,26 +182,37 @@ class TenantRuntime:
 
     # -- record application (live path AND replay path) --------------------
 
-    def classify(self, record: dict) -> str:
+    def classify(
+        self, record: dict, next_epoch: Optional[int] = None
+    ) -> str:
         """What :meth:`apply` would do with this record, without doing it.
 
-        The server consults this *before* journaling so duplicates and
-        out-of-order records are acked/nacked without a disk write.
+        The supervisor consults this *before* journaling, against the
+        epoch cursor it predicts for a pipelined batch (``next_epoch``,
+        default the tenant's own), so duplicates, out-of-order records
+        and report rows that are not ``n_metrics`` wide are answered
+        without a disk write.
         """
         kind = record["op"]
-        if kind in ("report", "report_batch", "close_epoch"):
-            epoch = record["epoch"]
-            if epoch < self.next_epoch:
-                return DUPLICATE
-            if epoch > self.next_epoch:
-                return BAD_EPOCH
-            return APPLIED
         if kind == "diagnose":
             numbers = {
                 s.number for s in self.monitor._library
             }
             return APPLIED if record["crisis"] in numbers else UNKNOWN_CRISIS
-        raise ValueError(f"unjournalable record kind {kind!r}")
+        if kind not in ("report_batch", "close_epoch"):
+            raise ValueError(f"unjournalable record kind {kind!r}")
+        if kind == "report_batch" and any(
+            len(row) != self.cfg.n_metrics for row in record["values"]
+        ):
+            return BAD_SHAPE
+        if next_epoch is None:
+            next_epoch = self.next_epoch
+        epoch = record["epoch"]
+        if epoch < next_epoch:
+            return DUPLICATE
+        if epoch > next_epoch:
+            return BAD_EPOCH
+        return APPLIED
 
     def apply(self, record: dict) -> Tuple[str, List[dict]]:
         """Apply one journaled record; returns ``(status, wire events)``."""
@@ -205,9 +222,7 @@ class TenantRuntime:
         events: List[dict] = []
         if status == APPLIED:
             kind = record["op"]
-            if kind == "report":
-                self._apply_report(record)
-            elif kind == "report_batch":
+            if kind == "report_batch":
                 self._apply_report_batch(record)
             elif kind == "close_epoch":
                 events = self._apply_close(record)
@@ -217,15 +232,6 @@ class TenantRuntime:
         if seq is not None:
             self.applied_seq = max(self.applied_seq, seq)
         return status, events
-
-    def _apply_report(self, record: dict) -> None:
-        machine = record["machine"]
-        if self.health is None:
-            self.health = AgentHealthTracker([machine])
-        else:
-            self.health.add_agent(machine)
-        self.health.observe_report(machine, record["epoch"])
-        self.pending.put(machine, record["values"], record["violation"])
 
     def _apply_report_batch(self, record: dict) -> None:
         machines = record["machines"]
@@ -409,6 +415,9 @@ class TenantRuntime:
         # everything past the last intact record was never acked.
         runtime.journal.truncate_tail()
         for record in runtime.journal.replay(after_seq=runtime.applied_seq):
+            if record["op"] == "report":
+                # Journaled before single reports became one-row batches.
+                record = report_as_batch(record)
             runtime.apply(record)
         return runtime
 
@@ -473,6 +482,7 @@ class TenantRuntime:
 __all__ = [
     "APPLIED",
     "BAD_EPOCH",
+    "BAD_SHAPE",
     "DUPLICATE",
     "TenantRuntime",
     "UNKNOWN_CRISIS",

@@ -8,21 +8,25 @@ proof (``tests/test_serving_recovery.py``) rests on.
 
 Requests (``op`` selects the verb):
 
-``report``
-    ``{"op": "report", "tenant": t, "machine": m, "epoch": e,
-    "values": [...], "violation": bool}`` — one machine's metric vector
-    for epoch ``e``.  Reports are *epoch-addressed* so a client that
-    resends after a reconnect is safe: a report for an already-closed
-    epoch is acknowledged as a duplicate no-op, never applied twice.
 ``report_batch``
     ``{"op": "report_batch", "tenant": t, "epoch": e,
     "machines": [m...], "values": [[...]...], "violations": [bool...]}``
-    — many machines' vectors for epoch ``e`` in one frame.  The value
-    matrix is validated and decoded in one vectorized numpy pass (the
-    only per-machine Python work is the id strings), machine ids must
-    not repeat within a frame, and the same epoch-addressed resend
-    guarantee applies to the frame as a whole.  Acks carry ``n``, the
-    number of machine reports the frame covered.
+    — many machines' metric vectors for epoch ``e`` in one frame.  The
+    value matrix is validated and decoded in one vectorized numpy pass
+    (the only per-machine Python work is the id strings), and machine
+    ids must not repeat within a frame.  Reports are *epoch-addressed*
+    so a client that resends after a reconnect is safe: a frame for an
+    already-closed epoch is acknowledged as a duplicate no-op, never
+    applied twice.  Acks carry ``n``, the number of machine reports the
+    frame covered.  A row that is not the tenant's ``n_metrics`` wide
+    is rejected with ``bad-shape`` before it is journaled (the wire
+    layer does not know the tenant's configuration).
+``report``
+    ``{"op": "report", "tenant": t, "machine": m, "epoch": e,
+    "values": [...], "violation": bool}`` — one machine's vector.  Pure
+    sugar: :func:`parse_request` returns the one-row ``report_batch``
+    it stands for (:func:`report_as_batch`), so past the parser there
+    is one report path, and its ack carries ``n: 1``.
 ``close_epoch``
     ``{"op": "close_epoch", "tenant": t, "epoch": e}`` — summarize the
     pending reports for ``e`` and feed the streaming monitor.
@@ -76,7 +80,9 @@ Anything that cannot be parsed into a valid request raises
 :class:`MalformedFrame` — a typed error the server answers with an
 ``{"ok": false, "error": "malformed"}`` frame instead of crashing the
 connection, which is exactly what the chaos mode's corrupted frames
-exercise.
+exercise.  That includes numbers JSON can carry but the server cannot:
+an integer literal past Python's digit limit, or a metric value beyond
+float64 range.
 """
 
 from __future__ import annotations
@@ -102,6 +108,11 @@ OPS = (
     "repl_subscribe", "repl_ack", "promote", "fence", "unquarantine",
 )
 
+#: Verbs whose frames reach the journal (and therefore replication and
+#: fencing).  A ``report`` is journaled as the ``report_batch`` it
+#: parses to, so journaled records carry only the other three ops.
+JOURNALED_OPS = ("report", "report_batch", "close_epoch", "diagnose")
+
 #: Messages pushed primary → standby on a replication link (these are
 #: not client requests; :func:`parse_repl_push` validates them).
 REPL_PUSH_OPS = ("repl_frames", "repl_heartbeat")
@@ -120,7 +131,10 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one frame into a dict; typed error on garbage."""
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integer literals
+        # past the interpreter's digit limit; RecursionError covers
+        # nesting deeper than the decoder's stack.
         raise MalformedFrame(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedFrame(
@@ -177,39 +191,41 @@ def _require_cursors(obj: Dict[str, Any], what: str) -> Dict[str, int]:
     return out
 
 
+def report_as_batch(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The one-row ``report_batch`` a single ``report`` stands for.
+
+    :func:`parse_request` applies this to every ``report`` frame before
+    validating it as a batch, and tenant recovery applies it to the
+    ``report`` records of journals written before reports were
+    journaled as batches.  Every other field (``tenant``, ``epoch``,
+    ``fence``, ``seq``) carries over; a missing report field becomes a
+    ``None`` row entry that batch validation rejects.
+    """
+    out = {
+        key: value for key, value in record.items()
+        if key not in ("machine", "values", "violation")
+    }
+    out.update(
+        op="report_batch",
+        machines=[record.get("machine")],
+        values=[record.get("values")],
+        violations=[record.get("violation")],
+    )
+    return out
+
+
 def parse_request(obj: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a decoded frame into a canonical request dict.
 
     Returns a fresh dict holding only the validated fields, so a frame
-    smuggling extra keys cannot reach the journal.
+    smuggling extra keys cannot reach the journal.  A ``report`` comes
+    back as its one-row ``report_batch``.
     """
     op = obj.get("op")
     if op not in OPS:
         raise MalformedFrame(f"unknown op {op!r}")
     if op == "report":
-        tenant = _require_tenant(obj, "report")
-        machine = _require(obj, "machine", str, "report")
-        if not machine:
-            raise MalformedFrame("report machine must be non-empty")
-        epoch = _require(obj, "epoch", int, "report")
-        if epoch < 0:
-            raise MalformedFrame("report epoch must be non-negative")
-        values = _require(obj, "values", list, "report")
-        if not values:
-            raise MalformedFrame("report values must be non-empty")
-        # bool is an int subclass: ``true`` is not a metric value.
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise MalformedFrame("report values must be numbers")
-        violation = _require(obj, "violation", bool, "report")
-        return _optional_fence(obj, {
-            "op": "report",
-            "tenant": tenant,
-            "machine": machine,
-            "epoch": epoch,
-            "values": [float(v) for v in values],
-            "violation": violation,
-        }, "report")
+        obj, op = report_as_batch(obj), "report_batch"
     if op == "report_batch":
         tenant = _require_tenant(obj, "report_batch")
         epoch = _require(obj, "epoch", int, "report_batch")
@@ -245,6 +261,10 @@ def parse_request(obj: Dict[str, Any]) -> Dict[str, Any]:
             raise MalformedFrame("report_batch values must be numbers")
         try:
             matrix = np.asarray(values, dtype=np.float64)
+        except OverflowError as exc:
+            raise MalformedFrame(
+                f"report_batch values must fit in float64: {exc}"
+            ) from exc
         except (TypeError, ValueError) as exc:
             raise MalformedFrame(
                 f"report_batch values must be rectangular: {exc}"
@@ -351,9 +371,7 @@ def parse_repl_push(obj: Dict[str, Any]) -> Dict[str, Any]:
                 "repl_frames record is missing its journal seq"
             )
         body = parse_request(record)
-        if body["op"] not in (
-            "report", "report_batch", "close_epoch", "diagnose"
-        ):
+        if body["op"] not in JOURNALED_OPS:
             raise MalformedFrame(
                 f"unjournalable op {body['op']!r} in repl_frames"
             )
@@ -469,6 +487,7 @@ def error_response(
 
 
 __all__ = [
+    "JOURNALED_OPS",
     "MalformedFrame",
     "OPS",
     "REPL_PUSH_OPS",
@@ -480,4 +499,5 @@ __all__ = [
     "ok_response",
     "parse_repl_push",
     "parse_request",
+    "report_as_batch",
 ]

@@ -279,3 +279,55 @@ class TestForecastCommands:
         ])
         assert rc == 0
         assert "lead-time vs precision" in capsys.readouterr().out
+
+
+class TestIndexCommands:
+    def test_build_stats_bench_round_trip(self, trace_path, tmp_path,
+                                          capsys):
+        """A 1k-vector LSH library built from the trace's fingerprints."""
+        library = str(tmp_path / "library.npz")
+        rc = main([
+            "index", "build", trace_path, library,
+            "--backend", "lsh", "--synthetic", "1000",
+        ])
+        assert rc == 0
+        assert "1000 fingerprints (lsh backend" in capsys.readouterr().out
+
+        assert main(["index", "stats", library]) == 0
+        out = capsys.readouterr().out
+        assert "backend: lsh" in out and "size: 1000" in out
+
+        rc = main([
+            "index", "bench", library, "--queries", "20", "--k", "10",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "backend lsh, 1000 vectors" in out and "speedup" in out
+
+    def test_kdtree_is_not_a_backend_choice(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "index", "build", "t.npz", "o.npz", "--backend", "kdtree",
+            ])
+
+
+class TestFleetCommands:
+    def test_plan_and_run_round_trip(self, capsys):
+        assert main(["fleet", "plan", "--machines", "200",
+                     "--shards", "4"]) == 0
+        assert "shard   3:     50 machines" in capsys.readouterr().out
+
+        assert main(["fleet", "run", "--machines", "100", "--epochs", "3",
+                     "--shards", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all("quorum ok" in line for line in lines)
+
+    def test_run_survives_killed_workers(self, capsys):
+        rc = main([
+            "fleet", "run", "--machines", "100", "--epochs", "3",
+            "--shards", "2", "--chaos-kill", "0.5", "--deadline", "2.0",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "MISSING SHARDS" in out and "respawned" in out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import DiscoveryConfig
+from repro.core.atomicio import pack_header, unpack_header
 from repro.core.checkpoint import load_monitor, save_monitor
 from repro.core.streaming import (
     IdentificationUpdate,
@@ -151,6 +152,26 @@ class TestCheckpoint:
             np.testing.assert_array_equal(
                 loaded.clusterer.medoid(cid), engine.clusterer.medoid(cid)
             )
+
+    def test_kdtree_configured_state_loads_as_brute(
+        self, replayed, tmp_path
+    ):
+        """State saved under the retired exact k-d tree backend restores
+        on brute, which gives the same exact assignments."""
+        path = tmp_path / "discovery.npz"
+        save_discovery(replayed.engine, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = unpack_header(arrays)
+        header["config"]["backend"] = "kdtree"
+        arrays["header"] = pack_header(header)
+        np.savez(path, **arrays)
+        loaded = load_discovery(path)
+        assert loaded.config.backend == "brute"
+        assert (
+            loaded.clusterer.partition()
+            == replayed.engine.clusterer.partition()
+        )
 
     def test_load_rejects_non_discovery_archives(self, replayed, tmp_path):
         path = tmp_path / "monitor.npz"

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config import DiscoveryConfig, IndexConfig
+from repro.core.atomicio import pack_header, unpack_header
 from repro.index import (
     BruteForceIndex,
-    KDTreeIndex,
     LSHIndex,
     backend_names,
     create_index,
@@ -13,7 +14,7 @@ from repro.index import (
     save_index,
 )
 
-BACKENDS = ["brute", "kdtree", "lsh"]
+BACKENDS = ["brute", "lsh"]
 
 
 def make_index(backend, dim, **kwargs):
@@ -37,7 +38,6 @@ class TestRegistry:
 
     def test_classes_match_names(self):
         assert isinstance(create_index("brute", 3), BruteForceIndex)
-        assert isinstance(create_index("kdtree", 3), KDTreeIndex)
         assert isinstance(create_index("lsh", 3), LSHIndex)
 
 
@@ -165,11 +165,11 @@ class TestEdgeCases:
             assert hits == [0, 1]
 
 
-@pytest.mark.parametrize("backend", ["kdtree", "lsh"])
+@pytest.mark.parametrize("backend", ["lsh"])
 class TestExactAgreement:
     def test_knn_matches_brute(self, backend, rng):
-        # kdtree is exact; lsh is seeded and near-exact on clustered data —
-        # cluster the points so every bucket holds the query's neighborhood.
+        # lsh is seeded and near-exact on clustered data — cluster the
+        # points so every bucket holds the query's neighborhood.
         centers = rng.normal(size=(10, 8)) * 5.0
         points = np.concatenate(
             [c + rng.normal(scale=0.05, size=(40, 8)) for c in centers]
@@ -182,10 +182,7 @@ class TestExactAgreement:
             query = center + rng.normal(scale=0.05, size=8)
             truth = [h.id for h in exact.query(query, k=5)]
             got = [h.id for h in other.query(query, k=5)]
-            if backend == "kdtree":
-                assert got == truth
-            else:
-                assert len(set(got) & set(truth)) >= 4
+            assert len(set(got) & set(truth)) >= 4
 
     def test_radius_matches_brute(self, rng, backend):
         points = rng.normal(size=(150, 6))
@@ -196,10 +193,48 @@ class TestExactAgreement:
         query = points[0]
         truth = {h.id for h in exact.query_radius(query, 1.5)}
         got = {h.id for h in other.query_radius(query, 1.5)}
-        if backend == "kdtree":
-            assert got == truth
-        else:
-            assert got <= truth  # LSH may miss, never invents
+        assert got <= truth  # LSH may miss, never invents
+
+
+def as_kdtree_header(header):
+    """The header the retired exact k-d tree backend wrote for the same
+    stored vectors (it kept a leaf size where brute keeps a block size)."""
+    header = dict(header, backend="kdtree", leaf_size=16)
+    del header["block_rows"]
+    return header
+
+
+class TestRetiredKDTree:
+    def test_kdtree_archive_loads_as_brute(self, tmp_path, cloud):
+        index = BruteForceIndex(12, dtype=np.float64)
+        index.add_batch(cloud[:50], payloads=[f"p{i}" for i in range(50)])
+        index.remove(7)
+        path = tmp_path / "kd.npz"
+        save_index(index, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["header"] = pack_header(as_kdtree_header(unpack_header(arrays)))
+        np.savez(path, **arrays)
+
+        back = load_index(path)
+        assert isinstance(back, BruteForceIndex)
+        assert back.ids() == index.ids()
+        assert [back.payload(i) for i in back.ids()] == [
+            index.payload(i) for i in index.ids()
+        ]
+        for query in cloud[50:60]:
+            assert back.query(query, k=5) == index.query(query, k=5)
+            assert back.query_radius(query, 4.0) == index.query_radius(
+                query, 4.0
+            )
+
+    def test_kdtree_is_no_longer_a_choice(self):
+        with pytest.raises(ValueError):
+            create_index("kdtree", 3)
+        with pytest.raises(ValueError):
+            IndexConfig(backend="kdtree")
+        with pytest.raises(ValueError):
+            DiscoveryConfig(backend="kdtree")
 
 
 class TestBruteExactness:

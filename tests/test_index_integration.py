@@ -14,6 +14,7 @@ from repro.config import (
     SelectionConfig,
     ThresholdConfig,
 )
+from repro.core.atomicio import pack_header, unpack_header
 from repro.core.checkpoint import load_monitor, save_monitor
 from repro.core.identification import Identifier, estimate_threshold_online
 from repro.core.streaming import (
@@ -24,7 +25,9 @@ from repro.core.streaming import (
 )
 from repro.core.streaming import UNKNOWN
 from repro.incidents import IncidentDatabase
+from repro.index import BruteForceIndex
 from repro.methods import FingerprintMethod
+from tests.test_index_backends import as_kdtree_header
 
 STREAM_CONFIG = FingerprintingConfig(
     selection=SelectionConfig(n_relevant=20),
@@ -168,6 +171,37 @@ class TestCheckpointWithIndexes:
         tail_restored = _replay(restored, small_trace, start=half)
         assert tail_restored == tail_original
         assert head  # the first half actually exercised the stream
+
+
+    def test_kdtree_index_slots_load_as_brute(
+        self, small_trace, relevant, tmp_path
+    ):
+        """A checkpoint whose slot indexes the retired k-d tree backend
+        wrote restores them as brute indexes with the same answers."""
+        monitor = _make(small_trace, relevant)
+        _replay(monitor, small_trace, stop=small_trace.n_epochs // 2)
+        if not monitor._index_cache:
+            monitor._library_index(0)
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        for k in monitor._index_cache:
+            key = f"index_slot{k}_header"
+            header = unpack_header({"header": arrays[key]})
+            arrays[key] = pack_header(as_kdtree_header(header))
+        np.savez(path, **arrays)
+
+        restored = load_monitor(path, STREAM_CONFIG)
+        assert sorted(restored._index_cache) == sorted(monitor._index_cache)
+        for k, index in monitor._index_cache.items():
+            back = restored._index_cache[k]
+            assert isinstance(back, BruteForceIndex)
+            assert back.ids() == index.ids() and len(back) > 0
+            for i in index.ids():
+                query = index.vector(i)
+                assert back.query(query, k=3) == index.query(query, k=3)
+        assert restored._index_labels == monitor._index_labels
 
 
 class TestIncidentDatabaseIndex:

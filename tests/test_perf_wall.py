@@ -204,20 +204,44 @@ class TestWallWiring:
         assert {c.metric for c in report.regressions} == {"reports_per_s"}
         assert path.read_bytes() == original_bytes
 
-    def test_run_wall_failed_rerun_is_skipped(self, tmp_path):
+    @staticmethod
+    def _stub_repo(tmp_path):
         root = tmp_path / "repo"
         results = root / "benchmarks" / "results"
         results.mkdir(parents=True)
-        (results / "BENCH_serving.json").write_text(json.dumps(serving()))
+        path = results / "BENCH_serving.json"
+        path.write_text(json.dumps(serving()))
         (root / BENCH_SOURCES["serving"][0]).parent.mkdir(
             parents=True, exist_ok=True
         )
         (root / BENCH_SOURCES["serving"][0]).write_text("# stub\n")
+        return root, path
+
+    def test_run_wall_failed_rerun_fails(self, tmp_path):
+        """A rerun that exits non-zero (a broken benchmark, or one of
+        its asserted floors) fails the wall; it is not a skip."""
+        root, path = self._stub_repo(tmp_path)
+        original_bytes = path.read_bytes()
         report = run_wall(
             root, names=["serving"], runner=lambda t, e: 1
         )
-        assert report.ok
-        assert report.skipped["serving"] == "no fresh run"
+        assert not report.ok
+        assert report.failed == {"serving": "quick rerun exited 1"}
+        assert "serving" not in report.skipped
+        assert "FAILED" in report.render() and "FAIL:" in report.render()
+        assert path.read_bytes() == original_bytes
+
+    def test_run_wall_rerun_without_fresh_json_fails(self, tmp_path):
+        """Exit 0 without writing a JSON must not compare the committed
+        baseline against itself."""
+        root, path = self._stub_repo(tmp_path)
+        report = run_wall(
+            root, names=["serving"], runner=lambda t, e: 0
+        )
+        assert not report.ok
+        assert report.failed == {"serving": "quick rerun wrote no fresh JSON"}
+        assert report.checks == []
+        assert path.exists()  # the committed baseline is restored
 
 
 class TestScriptEntryPoint:

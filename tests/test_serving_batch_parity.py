@@ -20,6 +20,7 @@ from repro.serving.loadgen import (
 )
 from repro.serving.server import IngestServer
 from repro.serving.tenant import APPLIED, BAD_EPOCH, DUPLICATE, TenantRuntime
+from repro.serving.wire import report_as_batch
 
 
 def small_cfg(**over):
@@ -59,10 +60,10 @@ def drive(rt, n_epochs, batched, batch_size=None):
             ]
         else:
             recs = [
-                {
+                report_as_batch({
                     "op": "report", "machine": m, "epoch": epoch,
                     "values": v, "violation": f,
-                }
+                })
                 for m, v, f in zip(machines, values, violations)
             ]
         recs.append({"op": "close_epoch", "epoch": epoch})
@@ -114,10 +115,10 @@ class TestTenantBatchParity:
         # Last write wins per machine, exactly as with repeated
         # ``report`` frames for the same machine in one epoch.
         rt = TenantRuntime("t", small_cfg(), tmp_path)
-        rt.apply({
+        rt.apply(report_as_batch({
             "op": "report", "machine": "m0", "epoch": 0,
             "values": [9.0, 9.0, 9.0, 9.0], "violation": True,
-        })
+        }))
         rt.apply({
             "op": "report_batch", "epoch": 0, "machines": ["m0", "m1"],
             "values": [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]],
@@ -206,9 +207,9 @@ class TestServerBatchParity:
                 resp = client.request(frame)
                 assert resp["ok"] and resp["status"] == "duplicate"
                 assert resp["n"] == 7
-                # Single reports still ack without the field.
+                # A single report acks as the one-row batch it is.
                 rep = synthetic_report(5, 0, 1, 0, 4)
-                assert "n" not in client.request(rep)
+                assert client.request(rep)["n"] == 1
         finally:
             srv.close()
 

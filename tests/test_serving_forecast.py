@@ -30,11 +30,11 @@ def fc_cfg(**over):
 def drive(rt, start, end, n_machines=5):
     for epoch in range(start, end):
         for m in range(n_machines):
-            rec = {
+            rec = wire.report_as_batch({
                 "op": "report", "machine": f"m{m}", "epoch": epoch,
                 "values": [float(epoch % 7 + m), float(m), 1.0, 2.0],
                 "violation": False,
-            }
+            })
             rt.journal.append(rec)
             rt.apply(rec)
         rec = {"op": "close_epoch", "epoch": epoch}

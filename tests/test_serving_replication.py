@@ -37,6 +37,7 @@ from repro.serving.loadgen import ServingClient, run_load
 from repro.serving.server import IngestServer
 from repro.serving.supervisor import FENCED
 from repro.telemetry.chaos import ServingChaosConfig, ServingChaosInjector
+from tests.test_serving_tenant import old_journal, one_row_reference, traffic
 
 LOCAL = "127.0.0.1"
 
@@ -220,6 +221,34 @@ class TestConvergence:
             assert tenant_state(prim, tenant) == tenant_state(
                 stby, tenant
             )
+
+    def test_standby_converges_on_a_pre_batch_journal(self, fleet, tmp_path):
+        """A primary whose journal still holds single ``report`` records
+        (written before reports became one-row batches) ships them as
+        stored; the standby parses each into its one-row batch and ends
+        in the state of the same stream sent as one-row batches."""
+        old_journal(
+            tmp_path / "prim",
+            *(traffic([e], one_row=False) for e in range(12)),
+            traffic([12], one_row=False, machines=range(3), close=False),
+        )
+        # No compaction: the standby must catch up from the log alone.
+        prim = fleet("prim", checkpoint_every_epochs=10_000)
+        stby = fleet(
+            "stby", standby_of=[(LOCAL, prim.port)],
+            checkpoint_every_epochs=10_000,
+        )
+        wait_converged(prim, stby)
+        ref = one_row_reference(
+            tmp_path / "ref", repl_cfg(checkpoint_every_epochs=10_000),
+            traffic(range(12), one_row=True)
+            + traffic([12], one_row=True, machines=range(3), close=False),
+        )
+        want = ref.state()
+        ref.close()
+        assert any(e["type"] == "crisis_detected" for e in want["events"])
+        assert tenant_state(prim, "tenant-0") == want
+        assert tenant_state(stby, "tenant-0") == want
 
 
 class TestHeartbeats:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.config import ServingConfig
+from repro.serving import wire
 from repro.serving.loadgen import ServingClient, run_load, synthetic_report
 from repro.serving.server import IngestServer
 from repro.telemetry.chaos import (
@@ -145,6 +146,123 @@ class TestBasicProtocol:
             assert client.request({"op": "ping"})["op"] == "pong"
 
 
+def read_frames(sock, n, timeout=5.0):
+    """The next ``n`` response frames on a raw socket."""
+    sock.settimeout(timeout)
+    buf = b""
+    while buf.count(b"\n") < n:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        buf += chunk
+    return [wire.decode_frame(line) for line in buf.split(b"\n")[:n]]
+
+
+class TestUntrustedNumbers:
+    def test_out_of_range_numbers_are_answered_malformed(self, server):
+        """Integers beyond float64 range or past the decoder's digit
+        limit used to escape the parser and drop the whole connection,
+        taking the good frames around them down too."""
+        srv = server()
+        huge = dict(report(0, machine="m1"), values=[1.0, 2.0, 10 ** 400])
+        long_literal = wire.encode_frame(report(0, machine="m2")).replace(
+            b"[1.0,", b"[" + b"9" * 5000 + b","
+        )
+        sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        sock.sendall(
+            wire.encode_frame(report(0)) + wire.encode_frame(huge)
+            + long_literal + wire.encode_frame(report(0, machine="m3"))
+        )
+        resps = read_frames(sock, 4)
+        sock.close()
+        assert [r.get("error") for r in resps] == [
+            None, "malformed", "malformed", None,
+        ]
+        assert resps[0]["ok"] and resps[3]["ok"]
+        assert srv.malformed_frames == 2
+
+    def test_wrong_width_is_rejected_not_quarantined(self, server):
+        srv = server()
+        with ServingClient("127.0.0.1", srv.port) as client:
+            resp = client.request(dict(report(0), values=[1.0, 2.0]))
+            assert not resp["ok"] and resp["error"] == "bad-shape"
+            resp = client.request({
+                "op": "report_batch", "tenant": "t", "epoch": 0,
+                "machines": ["m1", "m2"],
+                "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                "violations": [False, False],
+            })
+            assert not resp["ok"] and resp["error"] == "bad-shape"
+            assert client.request(report(0))["ok"]
+            tenant = client.request({"op": "stats"})["tenants"]["t"]
+        assert tenant["state"] == "running"
+        assert tenant["applied_seq"] == 1  # only the good frame
+
+
+class TestOneReportPath:
+    def test_single_report_is_journaled_as_a_one_row_batch(self, server):
+        srv = server()
+        with ServingClient("127.0.0.1", srv.port) as client:
+            ack = client.request(report(0))
+            assert ack["ok"] and ack["n"] == 1
+            client.request({"op": "close_epoch", "tenant": "t", "epoch": 0})
+        with srv._lock:
+            records = srv.supervisor.peek("t").runtime.journal.replay()
+        assert [r["op"] for r in records] == ["report_batch", "close_epoch"]
+        assert records[0]["machines"] == ["m0"]
+        assert records[0]["values"] == [[1.0, 2.0, 3.0, 4.0]]
+
+
+class TestOneParsePerFrame:
+    def test_every_frame_is_parsed_once(self, server, monkeypatch):
+        """The receive loop decodes and validates each frame exactly
+        once, including across the hand-off of a ``repl_subscribe``
+        to the replication hub, which parses the acks after it."""
+        ops = []
+        parse = wire.parse_request
+
+        def spy(obj):
+            ops.append(obj.get("op"))
+            return parse(obj)
+
+        monkeypatch.setattr(wire, "parse_request", spy)
+        srv = server()
+        sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        batch = {
+            "op": "report_batch", "tenant": "t", "epoch": 0,
+            "machines": ["m1", "m2"], "values": [[1.0] * 4, [2.0] * 4],
+            "violations": [False, True],
+        }
+        first = [
+            report(0), batch, {"op": "nope"},
+            {"op": "close_epoch", "tenant": "t", "epoch": 0},
+            {"op": "ping"},
+        ]
+        sock.sendall(
+            b"".join(wire.encode_frame(f) for f in first) + b"\n"
+        )
+        assert [r.get("error") for r in read_frames(sock, 5)] == [
+            None, None, "malformed", None, None,
+        ]
+        second = [
+            report(1),
+            {"op": "repl_subscribe", "cursors": {}},
+            {"op": "repl_ack", "cursors": {"t": 1}},
+            {"op": "repl_ack", "cursors": {"t": 3}},
+        ]
+        sock.sendall(b"".join(wire.encode_frame(f) for f in second))
+        report_ack, subscribed = read_frames(sock, 2)
+        assert report_ack["ok"] and subscribed["op"] == "repl_subscribe"
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            subs = srv.hub.stats()["subscribers"]
+            if subs and subs[0]["acked"].get("t") == 3:
+                break
+            time.sleep(0.02)
+        sock.close()
+        assert ops == [f["op"] for f in first + second]
+
+
 class TestSlowLoris:
     def test_stalled_partial_frame_is_dropped(self, server):
         srv = server(idle_timeout_s=0.2)
@@ -221,7 +339,7 @@ class TestOverloadProof:
                 return None
 
             def hook(record):
-                if record["op"] == "report":
+                if record["op"] == "report_batch":
                     raise InjectedTenantCrash("poison")
 
             return hook
@@ -269,7 +387,7 @@ class TestAdminOps:
                 return None
 
             def hook(record):
-                if poisoned["on"] and record["op"] == "report":
+                if poisoned["on"] and record["op"] == "report_batch":
                     raise InjectedTenantCrash("poison")
 
             return hook

@@ -9,6 +9,7 @@ from repro.serving.supervisor import (
     RUNNING,
     TenantSupervisor,
 )
+from repro.serving.wire import report_as_batch
 from repro.telemetry.chaos import InjectedTenantCrash
 
 
@@ -23,11 +24,11 @@ def small_cfg(**over):
     return ServingConfig(**base)
 
 
-def report(epoch, machine="m0"):
-    return {
+def report(epoch, machine="m0", **fields):
+    return report_as_batch({
         "op": "report", "machine": machine, "epoch": epoch,
-        "values": [1.0, 2.0, 3.0, 4.0], "violation": False,
-    }
+        "values": [1.0, 2.0, 3.0, 4.0], "violation": False, **fields,
+    })
 
 
 def close(epoch):
@@ -49,7 +50,7 @@ def poison_factory(bad_tenant):
             return None
 
         def hook(record):
-            if record["op"] == "report":
+            if record["op"] == "report_batch":
                 raise InjectedTenantCrash(f"poison in {tenant}")
 
         return hook
@@ -97,7 +98,7 @@ class TestHappyPath:
             sup.dispatch_batch("a", [report(epoch), close(epoch)])
         assert sup.slot("a").runtime.monitor.ready
         # Crisis epoch: the whole (one-machine) fleet violates its SLA.
-        violating = dict(report(6), violation=True, values=[9.0] * 4)
+        violating = report(6, violation=True, values=[9.0] * 4)
         sup.dispatch_batch("a", [violating, close(6)])
         # One pipelined batch: the calm epoch 7 ends crisis #1 (which
         # stores it in the library), and the diagnose follows directly.

@@ -5,13 +5,18 @@ import pytest
 
 from repro.config import ServingConfig
 from repro.core.checkpoint import CheckpointCorruptError
+from repro.serving.journal import WriteAheadJournal
+from repro.serving.loadgen import synthetic_batch, synthetic_report
+from repro.serving.supervisor import RUNNING, TenantSupervisor
 from repro.serving.tenant import (
     APPLIED,
     BAD_EPOCH,
+    BAD_SHAPE,
     DUPLICATE,
     TenantRuntime,
     UNKNOWN_CRISIS,
 )
+from repro.serving.wire import report_as_batch
 
 
 def small_cfg(**over):
@@ -26,10 +31,10 @@ def small_cfg(**over):
 
 def report(epoch, machine="m0", values=(1.0, 2.0, 3.0, 4.0),
            violation=False):
-    return {
+    return report_as_batch({
         "op": "report", "machine": machine, "epoch": epoch,
         "values": list(values), "violation": violation,
-    }
+    })
 
 
 def close(epoch):
@@ -248,3 +253,151 @@ class TestRecovery:
         assert {
             mid: back.health.staleness(mid) for mid in ("m0", "m1", "m2")
         } == misses
+
+
+class TestWrongWidth:
+    """A row that is not ``n_metrics`` wide passes the wire check (which
+    does not know the tenant's config); the tenant rejects it before it
+    is journaled, instead of crashing on apply and crash-looping on
+    every replay of it."""
+
+    def test_classify_rejects_wrong_width(self, tmp_path):
+        rt = TenantRuntime("t", small_cfg(), tmp_path)
+        assert rt.classify(report(0, values=(1.0, 2.0))) == BAD_SHAPE
+        status, events = rt.apply(report(0, values=(1.0, 2.0)))
+        assert (status, events) == (BAD_SHAPE, [])
+        assert len(rt.pending) == 0 and rt.health is None
+        rt.close()
+
+    def test_supervisor_never_journals_it(self, tmp_path):
+        sup = TenantSupervisor(small_cfg(), tmp_path)
+        results = sup.dispatch_batch("a", [
+            report(0, values=(1.0, 2.0)), report(0, machine="m1"),
+            {"op": "close_epoch", "epoch": 0},
+        ])
+        assert [s for s, _ in results] == [BAD_SHAPE, APPLIED, APPLIED]
+        slot = sup.slot("a")
+        assert slot.state == RUNNING
+        assert slot.runtime.journal.last_seq == 2
+        status, _ = sup.dispatch("a", report(1))
+        assert status == APPLIED
+        sup.close()
+
+
+# -- journals written before single reports became one-row batches ---------
+
+CRISES = (8, 9)
+
+
+def traffic(epochs, one_row, machines=range(5), close=True):
+    """``tenant-0`` records for ``epochs``: single ``report`` records as
+    journals held them before reports became one-row batches, or the
+    same reports as one-row ``report_batch`` records."""
+    out = []
+    for epoch in epochs:
+        for m in machines:
+            out.append(
+                synthetic_batch(7, 0, epoch, [m], 4, CRISES) if one_row
+                else synthetic_report(7, 0, epoch, m, 4, CRISES)
+            )
+        if close:
+            out.append(
+                {"op": "close_epoch", "tenant": "tenant-0", "epoch": epoch}
+            )
+    return out
+
+
+def old_journal(root, *groups, reserve=0):
+    """Append record groups the way the pre-batch supervisor did: one
+    ``append_many`` group commit per drained batch."""
+    journal = WriteAheadJournal(root / "tenants" / "tenant-0" / "journal.wal")
+    journal.reserve_seq(reserve)
+    for group in groups:
+        journal.append_many([dict(r) for r in group])
+    journal.close()
+
+
+def one_row_reference(root, cfg, records):
+    """The same stream journaled and applied as one-row batches."""
+    rt = TenantRuntime("tenant-0", cfg, root)
+    for record in records:
+        rt.journal.append_many([record])
+        rt.apply(record)
+    return rt
+
+
+def assert_same_state(got, want):
+    a, b = got.state(), want.state()
+    np.testing.assert_array_equal(
+        np.asarray(a["thresholds"]["cold"]),
+        np.asarray(b["thresholds"]["cold"]),
+    )
+    np.testing.assert_array_equal(
+        np.asarray(a["thresholds"]["hot"]),
+        np.asarray(b["thresholds"]["hot"]),
+    )
+    assert a["events"] == b["events"]
+    assert dict(got.pending.items()) == dict(want.pending.items())
+    assert a == b
+
+
+class TestPreBatchJournals:
+    def test_checkpoint_and_journal_of_single_reports_recover(
+        self, tmp_path
+    ):
+        cfg = small_cfg(checkpoint_every_epochs=3)
+        old = tmp_path / "old"
+        # Epochs 0-4 plus half of epoch 5, as single report records.
+        old_journal(
+            old,
+            *(traffic([e], one_row=False) for e in range(5)),
+            traffic([5], one_row=False, machines=range(3), close=False),
+        )
+        # A graceful shutdown mid-epoch: the checkpoint's pending
+        # buffer holds the open epoch's single reports.
+        rt = TenantRuntime.recover("tenant-0", cfg, old)
+        assert sorted(rt.pending) == ["m0000", "m0001", "m0002"]
+        rt.checkpoint()
+        applied = rt.applied_seq
+        rt.close()
+        # More single reports after the checkpoint, ending mid-epoch 12.
+        old_journal(
+            old,
+            traffic([5], one_row=False, machines=range(3, 5)),
+            *(traffic([e], one_row=False) for e in range(6, 12)),
+            traffic([12], one_row=False, machines=range(2), close=False),
+            reserve=applied,
+        )
+        back = TenantRuntime.recover("tenant-0", cfg, old)
+        ref = one_row_reference(
+            tmp_path / "ref", cfg,
+            traffic(range(12), one_row=True)
+            + traffic([12], one_row=True, machines=range(2), close=False),
+        )
+        assert any(e["type"] == "crisis_detected" for e in ref.event_log)
+        assert_same_state(back, ref)
+        back.close()
+        ref.close()
+
+    def test_wrong_width_report_replays_as_a_no_op(self, tmp_path):
+        cfg = small_cfg(checkpoint_every_epochs=100)
+        bad = dict(synthetic_report(7, 0, 3, 9, 4), values=[1.0, 2.0])
+        old = tmp_path / "old"
+        old_journal(
+            old,
+            traffic(range(3), one_row=False),
+            [bad] + traffic([3], one_row=False),
+        )
+        sup = TenantSupervisor(cfg, old)
+        slot = sup.slot("tenant-0")
+        assert slot.state == RUNNING and slot.runtime.next_epoch == 4
+        ref = one_row_reference(
+            tmp_path / "ref", cfg, traffic(range(4), one_row=True)
+        )
+        got, want = slot.runtime.state(), ref.state()
+        # The bad record still consumed its journal seq.
+        assert got.pop("applied_seq") == want.pop("applied_seq") + 1
+        assert got == want
+        assert sup.dispatch("tenant-0", report(4))[0] == APPLIED
+        sup.close()
+        ref.close()

@@ -1,6 +1,10 @@
 """Wire-format round-trips and typed rejection of malformed frames."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.streaming import (
     CrisisDetected,
@@ -9,6 +13,7 @@ from repro.core.streaming import (
     IdentificationUpdate,
 )
 from repro.serving.wire import (
+    OPS,
     MalformedFrame,
     decode_frame,
     encode_frame,
@@ -29,9 +34,10 @@ class TestRequestRoundtrip:
             "op": "report", "tenant": "t", "machine": "m1",
             "epoch": 3, "values": [1.5, 2.0], "violation": True,
         })
+        # A single report is sugar for the one-row batch it stands for.
         assert req == {
-            "op": "report", "tenant": "t", "machine": "m1",
-            "epoch": 3, "values": [1.5, 2.0], "violation": True,
+            "op": "report_batch", "tenant": "t", "machines": ["m1"],
+            "epoch": 3, "values": [[1.5, 2.0]], "violations": [True],
         }
 
     def test_float_values_survive_bitwise(self):
@@ -45,7 +51,7 @@ class TestRequestRoundtrip:
             "op": "report", "tenant": "t", "machine": "m",
             "epoch": 0, "values": values, "violation": False,
         })
-        assert all(a == b for a, b in zip(req["values"], values))
+        assert all(a == b for a, b in zip(req["values"][0], values))
 
     def test_close_epoch_and_diagnose(self):
         assert roundtrip(
@@ -176,7 +182,7 @@ class TestReplPush:
         })))
         assert push["tenant"] == "t"
         assert [r["seq"] for r in push["records"]] == [4, 5]
-        assert all(r["op"] == "report" for r in push["records"])
+        assert all(r["op"] == "report_batch" for r in push["records"])
 
     def test_heartbeat_roundtrip(self):
         push = parse_repl_push({"op": "repl_heartbeat"})
@@ -339,3 +345,172 @@ class TestIncidentsOp:
     def test_invalid(self, obj):
         with pytest.raises(MalformedFrame):
             parse_request(obj)
+
+
+def report_req(**overrides):
+    base = {
+        "op": "report", "tenant": "t", "machine": "m0", "epoch": 0,
+        "values": [1.0, 2.0], "violation": False,
+    }
+    base.update(overrides)
+    return base
+
+
+class TestOutOfRangeNumbers:
+    """Numbers JSON can carry but float64 or the decoder cannot are
+    malformed frames, never a stray exception that drops the link."""
+
+    @pytest.mark.parametrize("obj", [
+        report_req(values=[1.0, 10 ** 400]),
+        batch_req(values=[[1.0, 2.0], [3.0, -(10 ** 400)], [5.0, 6.0]]),
+    ])
+    def test_integer_beyond_float64_range(self, obj):
+        with pytest.raises(MalformedFrame):
+            parse_request(decode_frame(encode_frame(obj)))
+
+    def test_integer_literal_past_the_digit_limit(self):
+        line = encode_frame(report_req(values=[1.0, 7])).replace(
+            b",7]", b"," + b"1" * 5000 + b"]"
+        )
+        with pytest.raises(MalformedFrame):
+            decode_frame(line)
+
+    def test_nesting_deeper_than_the_decoder(self):
+        with pytest.raises(MalformedFrame):
+            decode_frame(b"[" * 200_000 + b"]" * 200_000)
+
+
+# -- property: the one untrusted-input parser never crashes ----------------
+
+# Integers past float64 range (~1.8e308), inside the decoder's limit.
+_huge = st.builds(
+    lambda sign, exp: sign * 10 ** exp,
+    st.sampled_from([1, -1]), st.integers(309, 400),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _huge,
+    st.floats(),
+    st.text(max_size=6),
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+_numbers = st.one_of(st.floats(), st.integers(), _huge)
+_names = st.one_of(st.text(max_size=5), st.sampled_from(["t", "..", "a/b"]))
+
+#: Near-valid values per field, so mutated frames reach deep validation.
+_FIELDS = {
+    "tenant": _names,
+    "machine": _names,
+    "epoch": st.integers(-2, 2 ** 64),
+    "crisis": st.integers(-2, 50),
+    "label": _names,
+    "values": st.lists(_numbers, min_size=1, max_size=4),
+    "violation": st.booleans(),
+    # Same three-machine shape as :func:`batch_req`.
+    "machines": st.lists(_names, min_size=3, max_size=3),
+    "matrix": st.lists(
+        st.lists(_numbers, min_size=2, max_size=2), min_size=3, max_size=3,
+    ),
+    "violations": st.lists(st.booleans(), min_size=3, max_size=3),
+    "cursors": st.dictionaries(_names, st.integers(-1, 10 ** 6)),
+    "fence": st.integers(-1, 10 ** 6),
+}
+
+#: One valid request per verb with fields, the starting points for
+#: mutation; field-less verbs are reached by mutating ``op``.
+_VALID = [
+    report_req(),
+    batch_req(),
+    {"op": "close_epoch", "tenant": "t", "epoch": 1},
+    {"op": "diagnose", "tenant": "t", "crisis": 1, "label": "x"},
+    {"op": "state", "tenant": "t"},
+    {"op": "repl_subscribe", "cursors": {"t": 1}},
+    {"op": "repl_ack", "cursors": {"t": 1}},
+    {"op": "fence", "epoch": 1},
+]
+
+
+@st.composite
+def _request_objects(draw):
+    """A valid request with one or two fields dropped or replaced."""
+    obj = dict(draw(st.sampled_from(_VALID)))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(sorted(obj) + ["fence"]))
+        how = draw(st.sampled_from(["drop", "near", "any"]))
+        if how == "drop":
+            obj.pop(key, None)
+        elif how == "any" or key == "op":
+            obj[key] = draw(st.one_of(st.sampled_from(OPS), _json))
+        elif key == "values" and obj.get("op") == "report_batch":
+            obj[key] = draw(_FIELDS["matrix"])
+        else:
+            obj[key] = draw(_FIELDS[key])
+    return obj
+
+
+def _canonical_or_malformed(line: bytes) -> None:
+    try:
+        req = parse_request(decode_frame(line))
+    except MalformedFrame:
+        return
+    assert req["op"] in OPS and req["op"] != "report"
+    # Canonical: a fixed point of the parser, also across the wire.
+    # (Compared as encoded bytes, since a NaN value is never ==.)
+    assert encode_frame(parse_request(dict(req))) == encode_frame(req)
+    assert encode_frame(roundtrip(req)) == encode_frame(req)
+
+
+class TestParseRequestProperties:
+    @given(line=st.one_of(
+        st.binary(max_size=64), _json.map(lambda v: json.dumps(v).encode()),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_are_canonical_or_malformed(self, line):
+        _canonical_or_malformed(line)
+
+    @given(obj=_request_objects())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_requests_are_canonical_or_malformed(self, obj):
+        _canonical_or_malformed(json.dumps(obj).encode())
+
+    @given(
+        tenant=st.text(min_size=1, max_size=5).filter(
+            lambda t: "/" not in t and t not in (".", "..")
+        ),
+        machine=st.text(min_size=1, max_size=5),
+        epoch=st.integers(0, 2 ** 64),
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.integers(-(10 ** 300), 10 ** 300),
+            ),
+            min_size=1, max_size=6,
+        ),
+        violation=st.booleans(),
+        fence=st.one_of(st.none(), st.integers(0, 10 ** 6)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_report_parses_as_its_one_row_batch(
+        self, tenant, machine, epoch, values, violation, fence
+    ):
+        report = {
+            "op": "report", "tenant": tenant, "machine": machine,
+            "epoch": epoch, "values": values, "violation": violation,
+        }
+        batch = {
+            "op": "report_batch", "tenant": tenant, "epoch": epoch,
+            "machines": [machine], "values": [values],
+            "violations": [violation],
+        }
+        if fence is not None:
+            report["fence"] = batch["fence"] = fence
+        assert roundtrip(report) == roundtrip(batch)
