@@ -1,12 +1,12 @@
-"""Columnar epoch-block ingestion vs. the per-machine list path.
+"""Columnar epoch-block ingestion vs. the per-machine list oracle.
 
 The columnar PR's headline: one preallocated ``EpochBlock`` per
 aggregator, batch folds, and a single NaN-masked numpy pass at close —
-against the legacy path (``columnar=False``) that appends one row per
-report and loops per quantile at close.  Both paths produce bit-identical
-summaries (asserted here and property-tested in
-``tests/test_columnar_parity.py``); the benchmark measures what the
-refactor buys:
+against the list oracle (``ListAggregator`` in
+``tests/test_columnar_parity.py``) that appends one row per report and
+loops per quantile at close.  Both produce bit-identical summaries
+(asserted here and property-tested in the parity suite); the benchmark
+measures what the block buys:
 
 * sustained ingestion throughput (reports/s through submit + close);
 * epoch-close latency, the number that gates how fast a crisis shows
@@ -29,6 +29,7 @@ import numpy as np
 from numpy.testing import assert_array_equal
 
 from repro.telemetry.collector import EpochAggregator
+from tests.test_columnar_parity import ListAggregator
 
 from conftest import publish, publish_json
 
@@ -49,12 +50,11 @@ def make_epoch(n_machines, seed):
     return matrix
 
 
-def build(n_machines, columnar):
-    return EpochAggregator(
+def build(cls, n_machines):
+    return cls(
         [f"metric-{j}" for j in range(N_METRICS)],
         quantiles=QUANTILES,
         fleet_size=n_machines,
-        columnar=columnar,
     )
 
 
@@ -85,10 +85,10 @@ def test_columnar_ingest():
             for e in range(N_EPOCHS)
         ]
         legacy_submit, legacy_close, legacy = run_epochs(
-            build(n_machines, columnar=False), matrices, batched=False
+            build(ListAggregator, n_machines), matrices, batched=False
         )
         block_submit, block_close, block = run_epochs(
-            build(n_machines, columnar=True), matrices, batched=True
+            build(EpochAggregator, n_machines), matrices, batched=True
         )
         # The speedup is only claimable because the answers are the
         # same bits.

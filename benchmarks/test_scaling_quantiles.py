@@ -5,8 +5,8 @@ Two properties to demonstrate:
 1. the fingerprint representation's size depends on the number of metrics,
    never on the number of machines;
 2. quantiles can be estimated from a stream with bounded error and
-   sublinear memory (Greenwald-Khanna) or constant memory (P-square), so
-   summarization keeps scaling as the fleet grows.
+   sublinear memory (Greenwald-Khanna), so summarization keeps scaling
+   as the fleet grows.
 
 These are also the suite's only timed micro-benchmarks (the figure
 benchmarks time one full experiment run each).
@@ -17,7 +17,7 @@ import numpy as np
 from conftest import publish
 from repro.evaluation.results import format_table
 from repro.telemetry.quantiles import empirical_quantiles, summarize_epoch
-from repro.telemetry.sketches import GKQuantileSketch, P2QuantileEstimator
+from repro.telemetry.sketches import GKQuantileSketch
 
 QUANTILES = (0.25, 0.50, 0.95)
 
@@ -90,32 +90,3 @@ def test_gk_sketch_accuracy_and_space(benchmark):
             2 * eps * len(stream)
     assert sketch.size < len(stream) * 0.05
 
-
-def test_p2_estimator_accuracy(benchmark):
-    rng = np.random.default_rng(2)
-    stream = rng.lognormal(3.0, 0.6, 50000)
-
-    def compute():
-        estimators = {q: P2QuantileEstimator(q) for q in QUANTILES}
-        for x in stream:
-            for est in estimators.values():
-                est.insert(x)
-        return estimators
-
-    estimators = benchmark.pedantic(compute, rounds=1, iterations=1)
-    exact = empirical_quantiles(stream, QUANTILES)
-    rows = []
-    for q, truth in zip(QUANTILES, exact):
-        value = estimators[q].query()
-        rows.append([f"q={q}", round(truth, 2), round(value, 2),
-                     f"{abs(value - truth) / truth:.2%}"])
-    publish(
-        "scaling_p2_estimator",
-        format_table(
-            ["quantile", "exact", "P2 estimate", "relative error"],
-            rows,
-            title="P-square estimator (5 markers per quantile)",
-        ),
-    )
-    for q, truth in zip(QUANTILES, exact):
-        assert abs(estimators[q].query() - truth) / truth < 0.10

@@ -8,7 +8,7 @@ detection) fingerprints of past crises and is evaluated on held-out ones.
 
 from conftest import publish
 from repro.evaluation.results import format_table
-from repro.extensions import CrisisForecaster
+from repro.forecast.offline import OfflineCrisisForecaster
 
 
 def test_sec7_forecasting(benchmark, paper_trace, labeled_crises,
@@ -17,7 +17,7 @@ def test_sec7_forecasting(benchmark, paper_trace, labeled_crises,
     train, test = labeled_crises[:12], labeled_crises[12:]
 
     def compute():
-        forecaster = CrisisForecaster(
+        forecaster = OfflineCrisisForecaster(
             paper_trace,
             method.thresholds,
             method.relevant,

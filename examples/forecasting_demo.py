@@ -11,7 +11,8 @@ Section 7 sketches two extensions this library implements:
 """
 
 from repro import DatacenterSimulator, SimulationConfig
-from repro.extensions import CrisisEvolutionModel, CrisisForecaster
+from repro.extensions import CrisisEvolutionModel
+from repro.forecast import OfflineCrisisForecaster
 from repro.methods import FingerprintMethod
 
 SIM = SimulationConfig(
@@ -36,7 +37,7 @@ def main() -> None:
     # Train on the first 12 labeled crises, evaluate on the rest; type B
     # (backlog from the downstream datacenter) is the forecastable type.
     train, test = crises[:12], crises[12:]
-    forecaster = CrisisForecaster(
+    forecaster = OfflineCrisisForecaster(
         trace, method.thresholds, method.relevant,
         lead_epochs=1, window_epochs=3,
     ).fit(train)

@@ -2,9 +2,9 @@
 
 Section 3.2 notes that as the datacenter grows, metric quantiles can be
 estimated from a stream with bounded error instead of exactly.  This
-example compares exact quantiles against the Greenwald-Khanna sketch and
-the P-square estimator on a simulated large fleet, showing that the
-fingerprint input changes negligibly while memory stays sublinear.
+example compares exact quantiles against the Greenwald-Khanna sketch on
+a simulated large fleet, showing that the fingerprint input changes
+negligibly while memory stays sublinear.
 
     python examples/streaming_quantiles.py
 """
@@ -12,7 +12,7 @@ fingerprint input changes negligibly while memory stays sublinear.
 import numpy as np
 
 from repro.telemetry.quantiles import empirical_quantiles
-from repro.telemetry.sketches import GKQuantileSketch, P2QuantileEstimator
+from repro.telemetry.sketches import GKQuantileSketch
 
 QUANTILES = (0.25, 0.50, 0.95)
 
@@ -40,14 +40,6 @@ def main() -> None:
           + " / ".join(f"{abs(e - t) / t:.2%}" for e, t in zip(gk, exact)))
     print(f"  tuples stored: {sketch.size} "
           f"({sketch.size / n_machines:.2%} of the stream)")
-
-    print("\nP-square estimators (constant space, one per quantile):")
-    for q, truth in zip(QUANTILES, exact):
-        est = P2QuantileEstimator(q)
-        est.extend(samples)
-        value = est.query()
-        print(f"  q={q:.2f}: {value:.2f} "
-              f"(error {abs(value - truth) / truth:.2%}, 5 markers)")
 
     print("\nThe fingerprint consumes only these quantiles, so its size and "
           "accuracy\nare unchanged whether the fleet has 200 machines or "

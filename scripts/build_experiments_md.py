@@ -165,7 +165,6 @@ MULTI_FILE_SECTIONS = {
     "E11 — scaling: summary size and streaming quantiles": [
         "scaling_summary_size",
         "scaling_gk_sketch",
-        "scaling_p2_estimator",
     ],
     "E13/E14 — design-choice ablations": [
         "ablation_per_epoch_thresholds",

@@ -22,17 +22,20 @@ original object was built with.
 
 from __future__ import annotations
 
-import json
-import pathlib
-import struct
-import zipfile
-import zlib
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.config import EPOCH_MINUTES, FingerprintingConfig, ReliabilityConfig
-from repro.core.atomicio import atomic_write_npz, pack_header, unpack_header
+# The error types live with the reader; callers import them from here.
+from repro.core.atomicio import (
+    CheckpointCorruptError,
+    CheckpointError,
+    CheckpointFormatError,
+    atomic_write_npz,
+    pack_header,
+    read_npz,
+)
 from repro.core.columnar import WindowBlock
 from repro.telemetry.epochs import EpochClock
 from repro.core.pipeline import FingerprintPipeline, KnownCrisis
@@ -49,84 +52,6 @@ _atomic_write_npz = atomic_write_npz
 _pack_header = pack_header
 
 
-class CheckpointError(ValueError):
-    """Base class for checkpoint load failures.
-
-    Subclasses ``ValueError`` so pre-existing callers that catch
-    ``ValueError`` around a restore keep working.
-    """
-
-
-class CheckpointCorruptError(CheckpointError):
-    """The archive is damaged: torn write, truncation, or garbage.
-
-    Raised instead of the raw ``zipfile``/``KeyError``/``struct`` errors a
-    damaged ``.npz`` would otherwise surface, so callers can distinguish
-    "restore from an older snapshot" from a programming error.
-    """
-
-
-class CheckpointFormatError(CheckpointError):
-    """The archive is intact but not a checkpoint this code can read."""
-
-
-#: Exceptions that mean "this file is not a readable .npz archive".
-_CORRUPT_ARCHIVE_ERRORS = (
-    zipfile.BadZipFile,
-    struct.error,
-    OSError,
-    EOFError,
-    ValueError,
-)
-
-
-def open_checkpoint(path):
-    """``np.load`` a checkpoint with corruption mapped to typed errors.
-
-    A missing file still raises ``FileNotFoundError`` (the caller may
-    treat that as "no checkpoint yet"); anything unreadable *inside* the
-    file becomes :class:`CheckpointCorruptError`.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    try:
-        return np.load(path, allow_pickle=False)
-    except _CORRUPT_ARCHIVE_ERRORS as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint {path} is not a readable archive: {exc}"
-        ) from exc
-
-
-def _read_header(data, expected_kind: str) -> dict:
-    try:
-        header = unpack_header(data)
-    except KeyError as exc:
-        raise CheckpointCorruptError(
-            "checkpoint has no header array"
-        ) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint header is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(header, dict):
-        raise CheckpointCorruptError(
-            f"checkpoint header is a {type(header).__name__}, not an object"
-        )
-    version = header.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported checkpoint format {version!r} "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
-        )
-    kind = header.get("kind")
-    if kind != expected_kind:
-        raise CheckpointFormatError(
-            f"checkpoint holds a {kind!r}, expected {expected_kind!r}"
-        )
-    return header
-
-
 def read_checkpoint_extra(path, expected_kind: str = "monitor") -> dict:
     """The caller-supplied ``extra`` header of a checkpoint archive.
 
@@ -134,9 +59,10 @@ def read_checkpoint_extra(path, expected_kind: str = "monitor") -> dict:
     next epoch, agent health) here so a tenant snapshot stays one
     atomic file.  Archives written without ``extra`` return ``{}``.
     """
-    with open_checkpoint(path) as data:
-        header = _read_header(data, expected_kind)
-    return header.get("extra") or {}
+    with read_npz(path, CHECKPOINT_FORMAT_VERSION, expected_kind) as (
+        header, _
+    ):
+        return header.get("extra") or {}
 
 
 # ---------------------------------------------------------------------------
@@ -237,95 +163,85 @@ def load_monitor(
     ``KeyError``/``zipfile`` error), so a caller holding older snapshots
     can fall back instead of crashing.
     """
-    try:
-        with open_checkpoint(path) as data:
-            header = _read_header(data, "monitor")
-            monitor = StreamingCrisisMonitor(
-                n_metrics=header["n_metrics"],
-                relevant_metrics=data["relevant"],
-                config=config,
-                threshold_refresh_epochs=header["threshold_refresh_epochs"],
-                min_history_epochs=header["min_history_epochs"],
-                reliability=reliability,
-                # Pre-engine checkpoints carry no clock; they were written
-                # at the paper's 15-minute epochs.
-                clock=EpochClock(
-                    epoch_minutes=header.get("epoch_minutes", EPOCH_MINUTES)
-                ),
+    with read_npz(path, CHECKPOINT_FORMAT_VERSION, "monitor") as (
+        header, data
+    ):
+        monitor = StreamingCrisisMonitor(
+            n_metrics=header["n_metrics"],
+            relevant_metrics=data["relevant"],
+            config=config,
+            threshold_refresh_epochs=header["threshold_refresh_epochs"],
+            min_history_epochs=header["min_history_epochs"],
+            reliability=reliability,
+            # Pre-engine checkpoints carry no clock; they were written
+            # at the paper's 15-minute epochs.
+            clock=EpochClock(
+                epoch_minutes=header.get("epoch_minutes", EPOCH_MINUTES)
+            ),
+        )
+        values = data["store_values"]
+        if values.shape[0]:
+            monitor.store.extend(values, data["store_anomalous"])
+        # The engine's rolling threshold tracker is derived state:
+        # rebuild it from the restored store rather than serializing
+        # its internals.
+        monitor.engine.rebuild_tracker()
+        if header["has_thresholds"]:
+            monitor.thresholds = QuantileThresholds(
+                cold=data["thresholds_cold"], hot=data["thresholds_hot"]
             )
-            values = data["store_values"]
-            if values.shape[0]:
-                monitor.store.extend(values, data["store_anomalous"])
-            # The engine's rolling threshold tracker is derived state:
-            # rebuild it from the restored store rather than serializing
-            # its internals.
-            monitor.engine.rebuild_tracker()
-            if header["has_thresholds"]:
-                monitor.thresholds = QuantileThresholds(
-                    cold=data["thresholds_cold"], hot=data["thresholds_hot"]
+        monitor._epochs_since_refresh = header["epochs_since_refresh"]
+        monitor._crisis_counter = header["crisis_counter"]
+        monitor.untrusted_epochs = header["untrusted_epochs"]
+        if header["n_pre_buffer"]:
+            monitor._pre_buffer = list(data["pre_buffer"])
+        live_meta = header["live"]
+        if live_meta is not None:
+            live = _LiveCrisis(
+                number=live_meta["number"],
+                detected_epoch=live_meta["detected_epoch"],
+            )
+            if "live_summaries" in data:
+                live.summaries = WindowBlock.from_array(
+                    data["live_summaries"]
                 )
-            monitor._epochs_since_refresh = header["epochs_since_refresh"]
-            monitor._crisis_counter = header["crisis_counter"]
-            monitor.untrusted_epochs = header["untrusted_epochs"]
-            if header["n_pre_buffer"]:
-                monitor._pre_buffer = list(data["pre_buffer"])
-            live_meta = header["live"]
-            if live_meta is not None:
-                live = _LiveCrisis(
-                    number=live_meta["number"],
-                    detected_epoch=live_meta["detected_epoch"],
-                )
-                if "live_summaries" in data:
-                    live.summaries = WindowBlock.from_array(
-                        data["live_summaries"]
-                    )
-                live.identifications = live_meta["identifications"]
-                monitor._live = live
-            monitor._library = [
-                _StoredCrisis(
-                    number=meta["number"],
-                    label=meta["label"],
-                    quantile_window=data[f"library_window_{i}"],
-                )
-                for i, meta in enumerate(header["library"])
-            ]
-            # Pre-PR-2 checkpoints carry no index snapshots; the monitor
-            # then rebuilds its identification indexes lazily on the next
-            # crisis.
-            for k in header.get("index_slots", []):
-                index = index_from_arrays(data, prefix=f"index_slot{k}_")
-                monitor._index_cache[k] = index
-                monitor._index_labels[k] = {
-                    i: index.payload(i) for i in index.ids()
-                }
-            disc_header = header.get("discovery")
-            if disc_header is not None:
-                # Lazy import: repro.discovery depends on this module's
-                # siblings, so the package import stays one-directional.
-                from repro.discovery.engine import DiscoveryEngine
+            live.identifications = live_meta["identifications"]
+            monitor._live = live
+        monitor._library = [
+            _StoredCrisis(
+                number=meta["number"],
+                label=meta["label"],
+                quantile_window=data[f"library_window_{i}"],
+            )
+            for i, meta in enumerate(header["library"])
+        ]
+        # Checkpoints written before index snapshots existed carry
+        # none; the monitor then rebuilds its identification indexes
+        # lazily on the next crisis.
+        for k in header.get("index_slots", []):
+            index = index_from_arrays(data, prefix=f"index_slot{k}_")
+            monitor._index_cache[k] = index
+            monitor._index_labels[k] = {
+                i: index.payload(i) for i in index.ids()
+            }
+        disc_header = header.get("discovery")
+        if disc_header is not None:
+            # Lazy import: repro.discovery depends on this module's
+            # siblings, so the package import stays one-directional.
+            from repro.discovery.engine import DiscoveryEngine
 
-                engine = DiscoveryEngine.from_snapshot(
-                    disc_header, data, prefix="discovery_"
-                )
-                engine.attach(monitor)
-            fc_header = header.get("forecast")
-            if fc_header is not None:
-                from repro.forecast.engine import ForecastEngine
+            engine = DiscoveryEngine.from_snapshot(
+                disc_header, data, prefix="discovery_"
+            )
+            engine.attach(monitor)
+        fc_header = header.get("forecast")
+        if fc_header is not None:
+            from repro.forecast.engine import ForecastEngine
 
-                forecast = ForecastEngine.from_snapshot(
-                    fc_header, data, prefix="forecast_"
-                )
-                forecast.attach(monitor)
-    except CheckpointError:
-        raise
-    except KeyError as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint is missing required entry {exc}"
-        ) from exc
-    except (zipfile.BadZipFile, zlib.error, struct.error, EOFError) as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint member is damaged: {exc}"
-        ) from exc
+            forecast = ForecastEngine.from_snapshot(
+                fc_header, data, prefix="forecast_"
+            )
+            forecast.attach(monitor)
     return monitor
 
 
@@ -381,52 +297,42 @@ def load_pipeline(
     config: FingerprintingConfig = FingerprintingConfig(),
 ) -> FingerprintPipeline:
     """Restore a pipeline saved by :func:`save_pipeline` onto ``trace``."""
-    try:
-        with open_checkpoint(path) as data:
-            header = _read_header(data, "pipeline")
-            pipeline = FingerprintPipeline(
-                trace,
-                config,
-                recompute_past_fingerprints=header[
-                    "recompute_past_fingerprints"
-                ],
-                exclude_kpis_from_selection=header[
-                    "exclude_kpis_from_selection"
-                ],
+    with read_npz(path, CHECKPOINT_FORMAT_VERSION, "pipeline") as (
+        header, data
+    ):
+        pipeline = FingerprintPipeline(
+            trace,
+            config,
+            recompute_past_fingerprints=header[
+                "recompute_past_fingerprints"
+            ],
+            exclude_kpis_from_selection=header[
+                "exclude_kpis_from_selection"
+            ],
+        )
+        if header["has_thresholds"]:
+            pipeline.thresholds = QuantileThresholds(
+                cold=data["thresholds_cold"], hot=data["thresholds_hot"]
             )
-            if header["has_thresholds"]:
-                pipeline.thresholds = QuantileThresholds(
-                    cold=data["thresholds_cold"], hot=data["thresholds_hot"]
-                )
-            if header["has_relevant"]:
-                pipeline.relevant = data["relevant"]
-            pipeline.identification_threshold = header[
-                "identification_threshold"
-            ]
-            pipeline._selections = [
-                data[f"selection_{i}"] for i in range(header["n_selections"])
-            ]
-            for i, meta in enumerate(header["known"]):
-                known = KnownCrisis(
-                    crisis_id=meta["crisis_id"],
-                    label=meta["label"],
-                    detection_epoch=meta["detection_epoch"],
-                    quantile_window=data[f"known_window_{i}"],
-                    stale_summary=data[f"known_stale_{i}"],
-                )
-                if meta["has_fingerprint"]:
-                    known.fingerprint = data[f"known_fingerprint_{i}"]
-                pipeline.known.append(known)
-    except CheckpointError:
-        raise
-    except KeyError as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint is missing required entry {exc}"
-        ) from exc
-    except (zipfile.BadZipFile, zlib.error, struct.error, EOFError) as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint member is damaged: {exc}"
-        ) from exc
+        if header["has_relevant"]:
+            pipeline.relevant = data["relevant"]
+        pipeline.identification_threshold = header[
+            "identification_threshold"
+        ]
+        pipeline._selections = [
+            data[f"selection_{i}"] for i in range(header["n_selections"])
+        ]
+        for i, meta in enumerate(header["known"]):
+            known = KnownCrisis(
+                crisis_id=meta["crisis_id"],
+                label=meta["label"],
+                detection_epoch=meta["detection_epoch"],
+                quantile_window=data[f"known_window_{i}"],
+                stale_summary=data[f"known_stale_{i}"],
+            )
+            if meta["has_fingerprint"]:
+                known.fingerprint = data[f"known_fingerprint_{i}"]
+            pipeline.known.append(known)
     return pipeline
 
 
@@ -437,7 +343,6 @@ __all__ = [
     "CheckpointFormatError",
     "load_monitor",
     "load_pipeline",
-    "open_checkpoint",
     "read_checkpoint_extra",
     "save_monitor",
     "save_pipeline",

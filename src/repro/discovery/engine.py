@@ -31,15 +31,13 @@ monitor resumes discovery bit-identically; standalone
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import DiscoveryConfig
-from repro.core.atomicio import atomic_write_npz, pack_header, unpack_header
+from repro.core.atomicio import atomic_write_npz, pack_header, read_npz
 from repro.core.identification import UNKNOWN, is_stable, sequence_label
 from repro.discovery.clusterer import OnlineClusterer
 from repro.index.snapshot import live_backend
@@ -336,25 +334,14 @@ def save_discovery(engine: DiscoveryEngine, path) -> None:
 
 
 def load_discovery(path, incidents=None) -> DiscoveryEngine:
-    """Restore an engine saved by :func:`save_discovery` (unattached)."""
-    path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            header = unpack_header(data)
-        except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(
-                f"{path} is not a discovery state archive: {exc}"
-            ) from exc
-        version = header.get("format_version")
-        if version != DISCOVERY_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported discovery state format {version!r} "
-                f"(expected {DISCOVERY_FORMAT_VERSION})"
-            )
-        if header.get("kind") != "discovery":
-            raise ValueError(
-                f"{path} holds a {header.get('kind')!r}, not discovery state"
-            )
+    """Restore an engine saved by :func:`save_discovery` (unattached).
+
+    A damaged or foreign archive raises a
+    :class:`~repro.core.atomicio.CheckpointError`.
+    """
+    with read_npz(path, DISCOVERY_FORMAT_VERSION, "discovery") as (
+        header, data
+    ):
         return DiscoveryEngine.from_snapshot(
             header, data, incidents=incidents
         )

@@ -29,7 +29,7 @@ from repro.evaluation.experiments import (
 from repro.evaluation.identification import IdentificationCurves
 from repro.evaluation.results import format_percent, format_table
 from repro.evaluation.uncertainty import accuracy_intervals
-from repro.extensions import CrisisForecaster
+from repro.forecast.offline import OfflineCrisisForecaster
 from repro.methods import (
     AllMetricsFingerprintMethod,
     FingerprintMethod,
@@ -175,7 +175,7 @@ def full_report(
     train, test = crises[: max(len(crises) * 2 // 3, 1)], \
         crises[max(len(crises) * 2 // 3, 1):]
     if any(c.detected_epoch is not None for c in test):
-        forecaster = CrisisForecaster(
+        forecaster = OfflineCrisisForecaster(
             trace, fp.thresholds, fp.relevant,
             lead_epochs=1, window_epochs=3,
         ).fit(train)

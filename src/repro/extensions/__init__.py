@@ -1,10 +1,10 @@
 """Extensions sketched in the paper's future-work section (Section 7).
 
-* :mod:`repro.extensions.forecasting` — finding early signs of crises in
-  pre-crisis fingerprints so they can be forecast (the paper reports
-  encouraging early results for type-B crises);
 * :mod:`repro.extensions.evolution` — modeling the evolution of a crisis in
   fingerprint space to estimate progress and time to resolution.
+
+Forecasting crises from early signs, the section's other direction, lives
+in :mod:`repro.forecast`.
 """
 
 from repro.extensions.catalog import (
@@ -16,7 +16,6 @@ from repro.extensions.catalog import (
     normalized_mutual_information,
 )
 from repro.extensions.evolution import CrisisEvolutionModel, EvolutionProfile
-from repro.extensions.forecasting import CrisisForecaster, ForecastResult
 
 __all__ = [
     "CrisisCluster",
@@ -27,6 +26,4 @@ __all__ = [
     "normalized_mutual_information",
     "CrisisEvolutionModel",
     "EvolutionProfile",
-    "CrisisForecaster",
-    "ForecastResult",
 ]

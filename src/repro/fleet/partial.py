@@ -185,7 +185,7 @@ def merge_partials(
     Exact partials reproduce the single-process aggregator bit-for-bit:
     per metric, the union of finite values is sorted and the
     ``ceil(n*p)``-th order statistics are taken, exactly as
-    ``EpochAggregator.close_epoch`` does over the stacked report matrix.
+    ``EpochAggregator.close_epoch`` does over its epoch block.
     Sketch partials are merged per metric and queried; metrics nobody
     observed come back NaN on both paths.
     """
@@ -218,17 +218,7 @@ def merge_partials(
         ids = np.repeat(np.arange(n_metrics), counts)
         flat = flat[np.lexsort((flat, ids))]
         offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        qs = np.asarray(quantiles, dtype=float)
-        # ceil(n*p) 1-based ranks clipped to [1, n] per metric —
-        # elementwise identical to quantile_ranks(counts[j], quantiles).
-        ranks = (
-            np.clip(
-                np.ceil(counts[:, None] * qs[None, :]).astype(int),
-                1,
-                np.maximum(counts, 1)[:, None],
-            )
-            - 1
-        )
+        ranks = quantile_ranks(counts, quantiles)
         idx = np.minimum(offsets[:, None] + ranks, flat.size - 1)
         gathered = flat[idx]
         np.copyto(out, gathered, where=(counts > 0)[:, None])

@@ -24,15 +24,13 @@ Engine state is embedded in monitor checkpoints by
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import ForecastConfig
-from repro.core.atomicio import atomic_write_npz, pack_header, unpack_header
+from repro.core.atomicio import atomic_write_npz, pack_header, read_npz
 from repro.core.summary import summary_vectors
 from repro.forecast.detector import TwoStageDetector, normalize_fingerprint
 from repro.forecast.features import OnlineFeatureExtractor
@@ -347,25 +345,14 @@ def save_forecast(engine: ForecastEngine, path) -> None:
 
 
 def load_forecast(path) -> ForecastEngine:
-    """Restore an engine saved by :func:`save_forecast` (unattached)."""
-    path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            header = unpack_header(data)
-        except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(
-                f"{path} is not a forecast state archive: {exc}"
-            ) from exc
-        version = header.get("format_version")
-        if version != FORECAST_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported forecast state format {version!r} "
-                f"(expected {FORECAST_FORMAT_VERSION})"
-            )
-        if header.get("kind") != "forecast":
-            raise ValueError(
-                f"{path} holds a {header.get('kind')!r}, not forecast state"
-            )
+    """Restore an engine saved by :func:`save_forecast` (unattached).
+
+    A damaged or foreign archive raises a
+    :class:`~repro.core.atomicio.CheckpointError`.
+    """
+    with read_npz(path, FORECAST_FORMAT_VERSION, "forecast") as (
+        header, data
+    ):
         return ForecastEngine.from_snapshot(header, data)
 
 

@@ -3,10 +3,8 @@
 This is the historical offline forecaster: L1-logistic regression over
 epoch fingerprints of a recorded trace, positives drawn from a lead
 window before each crisis's detection.  It needs the full trace in
-memory and is kept as (a) the parity baseline the online pipeline must
-beat (``benchmarks/test_sec7_forecasting.py``) and (b) the
-implementation behind the backwards-compatible
-:class:`repro.extensions.forecasting.CrisisForecaster` wrapper.
+memory and is kept as the parity baseline the online pipeline must
+beat (``benchmarks/test_sec7_forecasting.py``).
 
 Compared to its life under ``repro.extensions`` the forecaster grew
 explicit failure modes: calibration and evaluation raise when the

@@ -10,12 +10,16 @@ does not rebuild its identification indexes from scratch.
 
 from __future__ import annotations
 
-import pathlib
 from typing import Dict
 
 import numpy as np
 
-from repro.core.atomicio import atomic_write_npz, pack_header, unpack_header
+from repro.core.atomicio import (
+    atomic_write_npz,
+    pack_header,
+    read_npz,
+    unpack_header,
+)
 from repro.index.base import FingerprintIndex, backend_class
 
 #: Format version embedded in every standalone index archive.
@@ -69,15 +73,12 @@ def save_index(index: FingerprintIndex, path) -> None:
 
 
 def load_index(path) -> FingerprintIndex:
-    """Restore an index written by :func:`save_index`."""
-    with np.load(pathlib.Path(path), allow_pickle=False) as data:
-        header = unpack_header(data)
-        version = header.get("format_version")
-        if version != INDEX_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported index format {version!r} "
-                f"(expected {INDEX_FORMAT_VERSION})"
-            )
+    """Restore an index written by :func:`save_index`.
+
+    A damaged or foreign archive raises a
+    :class:`~repro.core.atomicio.CheckpointError`.
+    """
+    with read_npz(path, INDEX_FORMAT_VERSION) as (_, data):
         return index_from_arrays(data)
 
 

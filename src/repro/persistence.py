@@ -3,17 +3,19 @@
 Generating a paper-scale trace takes tens of seconds; experiments want to
 reuse one.  Traces serialize to a single ``.npz`` archive: array payloads
 (quantiles, masks, raw crisis windows) plus a JSON header for everything
-structured (metric names, SLA policy, crisis records).
+structured (metric names, SLA policy, crisis records).  The archive is
+written atomically and read through :func:`repro.core.atomicio.read_npz`,
+so a failed save keeps the previous trace and a damaged file raises a
+typed :class:`~repro.core.atomicio.CheckpointError`.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import List
 
 import numpy as np
 
+from repro.core.atomicio import atomic_write_npz, pack_header, read_npz
 from repro.datacenter.crises import CrisisInstance
 from repro.datacenter.sla import KPIDefinition, SLAPolicy
 from repro.datacenter.trace import CrisisRecord, DatacenterTrace, RawWindow
@@ -65,27 +67,18 @@ def save_trace(trace: DatacenterTrace, path) -> None:
         "quantiles": trace.quantiles,
         "anomalous": trace.anomalous,
         "kpi_violation_fraction": trace.kpi_violation_fraction,
-        "header": np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ),
+        "header": pack_header(header),
     }
     for c in trace.crises:
         if c.raw is not None:
             arrays[f"raw_values_{c.index}"] = c.raw.values
             arrays[f"raw_violations_{c.index}"] = c.raw.violations
-    np.savez_compressed(pathlib.Path(path), **arrays)
+    atomic_write_npz(path, arrays)
 
 
 def load_trace(path) -> DatacenterTrace:
     """Read a trace written by :func:`save_trace`."""
-    with np.load(pathlib.Path(path), allow_pickle=False) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        version = header.get("format_version")
-        if version != TRACE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format {version!r} "
-                f"(expected {TRACE_FORMAT_VERSION})"
-            )
+    with read_npz(path, TRACE_FORMAT_VERSION) as (header, data):
         sla = SLAPolicy(
             kpis=tuple(
                 KPIDefinition(k["name"], k["metric_index"], k["threshold"])

@@ -2,9 +2,9 @@
 
 This package provides the monitoring plumbing the fingerprinting method sits
 on: a 15-minute epoch timebase, exact datacenter-wide quantile computation,
-streaming quantile sketches (Greenwald-Khanna and P-square) for deployments
-where exact computation is too expensive, and a rolling store of quantile
-history used to maintain hot/cold thresholds online.
+a streaming Greenwald-Khanna quantile sketch for deployments where exact
+computation is too expensive, and a rolling store of quantile history used
+to maintain hot/cold thresholds online.
 """
 
 from repro.telemetry.epochs import (
@@ -13,11 +13,7 @@ from repro.telemetry.epochs import (
     epochs_per_day,
     minutes_of_epoch,
 )
-from repro.telemetry.quantiles import (
-    QuantileSummarizer,
-    empirical_quantiles,
-    summarize_epoch,
-)
+from repro.telemetry.quantiles import empirical_quantiles, summarize_epoch
 from repro.telemetry.chaos import (
     ChaosConfig,
     ChaosEvent,
@@ -37,7 +33,7 @@ from repro.telemetry.reliability import (
     QuorumPolicy,
     RetryPolicy,
 )
-from repro.telemetry.sketches import GKQuantileSketch, P2QuantileEstimator
+from repro.telemetry.sketches import GKQuantileSketch
 from repro.telemetry.store import QuantileStore
 from repro.telemetry.validation import (
     ValidationIssue,
@@ -51,11 +47,9 @@ __all__ = [
     "epoch_of_minute",
     "epochs_per_day",
     "minutes_of_epoch",
-    "QuantileSummarizer",
     "empirical_quantiles",
     "summarize_epoch",
     "GKQuantileSketch",
-    "P2QuantileEstimator",
     "QuantileStore",
     "AgentHealthTracker",
     "ChaosConfig",

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.columnar import EpochBlock
-from repro.telemetry.quantiles import masked_quantiles, summarize_epoch
+from repro.telemetry.quantiles import masked_quantiles
 from repro.telemetry.reliability import AgentHealthTracker, QuorumPolicy
 from repro.telemetry.sketches import GKQuantileSketch
 
@@ -145,30 +145,6 @@ class EpochSummary:
     quality: Optional[EpochQuality] = None
 
 
-def _partial_quantiles(
-    matrix: np.ndarray, quantiles: Sequence[float]
-) -> np.ndarray:
-    """Per-metric quantiles of a report matrix with NaN gaps.
-
-    Matches :func:`repro.telemetry.quantiles.summarize_epoch` exactly on a
-    fully-finite matrix; metrics where some machines did not report use
-    the order statistics of the machines that did, and all-NaN metrics
-    come back NaN (mirroring the sketch path, which only ever sees finite
-    values).
-    """
-    ordered = np.sort(matrix, axis=0)  # NaNs sort last
-    counts = np.isfinite(matrix).sum(axis=0)
-    n_metrics = matrix.shape[1]
-    out = np.empty((n_metrics, len(quantiles)), dtype=float)
-    cols = np.arange(n_metrics)
-    for j, p in enumerate(quantiles):
-        ranks = np.clip(np.ceil(counts * p).astype(int), 1,
-                        np.maximum(counts, 1)) - 1
-        out[:, j] = ordered[ranks, cols]
-    out[counts == 0] = np.nan
-    return out
-
-
 class EpochAggregator:
     """Reduces agent reports to datacenter-wide metric quantiles.
 
@@ -184,14 +160,12 @@ class EpochAggregator:
     the summary is all-NaN and flagged in its quality record, identically
     on both paths.
 
-    Exact mode is columnar by default: reports land in a preallocated
+    In exact mode reports land in a preallocated
     :class:`repro.core.columnar.EpochBlock` (reused across epochs) and
     the close computes NaN-masked per-metric quantiles in single numpy
-    passes (:func:`repro.telemetry.quantiles.masked_quantiles`) — bit-
-    identical to the historical per-machine list path, which is retained
-    behind ``columnar=False`` as the parity reference and benchmark
-    baseline.  :meth:`submit_batch` folds whole ``(batch, n_metrics)``
-    report matrices in one vectorized pass on every mode.
+    passes (:func:`repro.telemetry.quantiles.masked_quantiles`).
+    :meth:`submit_batch` folds whole ``(batch, n_metrics)`` report
+    matrices in one vectorized pass on both modes.
     """
 
     def __init__(
@@ -202,7 +176,6 @@ class EpochAggregator:
         sketch_eps: float = 0.01,
         fleet_size: Optional[int] = None,
         quorum: Optional[QuorumPolicy] = None,
-        columnar: bool = True,
     ):
         if mode not in ("exact", "sketch"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -214,12 +187,10 @@ class EpochAggregator:
         self.quorum = quorum if quorum is not None else QuorumPolicy(
             min_fraction=0.0, min_count=1
         )
-        self.columnar = bool(columnar)
         self._epoch = 0
         self._n_reports = 0
-        self._reports: List[np.ndarray] = []  # legacy exact path only
         self._block: Optional[EpochBlock] = None
-        if mode == "exact" and self.columnar:
+        if mode == "exact":
             self._block = EpochBlock(len(self.metric_names))
         self._dropped = 0
         self._sketches: Optional[List[GKQuantileSketch]] = None
@@ -248,12 +219,9 @@ class EpochAggregator:
             if not finite.all():
                 self._dropped += int((~finite).sum())
                 report = np.where(finite, report, np.nan)
-            if self.mode == "exact":
-                self._reports.append(report)
-            else:
-                for sketch, value in zip(self._sketches, report):
-                    if np.isfinite(value):
-                        sketch.insert(float(value))
+            for sketch, value in zip(self._sketches, report):
+                if np.isfinite(value):
+                    sketch.insert(float(value))
         self._n_reports += 1
 
     def submit_batch(self, matrix: np.ndarray) -> None:
@@ -278,12 +246,6 @@ class EpochAggregator:
             return
         if self._block is not None:
             self._dropped += self._block.append_batch(matrix)
-        elif self.mode == "exact":
-            # Legacy reference path: identical to per-report submits.
-            finite = np.isfinite(matrix)
-            self._dropped += int(matrix.size - int(finite.sum()))
-            masked = np.where(finite, matrix, np.nan)
-            self._reports.extend(masked)
         else:
             finite = np.isfinite(matrix)
             self._dropped += int(matrix.size - int(finite.sum()))
@@ -326,22 +288,16 @@ class EpochAggregator:
             if self.mode == "sketch":
                 self._reset_sketches()
         elif self._block is not None:
-            # Columnar exact close: one in-place column sort + one rank
-            # gather over the block's filled rows, NaN gaps handled in
-            # the same pass.  Counts were tracked on ingest, and the
-            # block is reset below, so the sort may destroy the buffer.
+            # Exact close: one in-place column sort + one rank gather
+            # over the block's filled rows, NaN gaps handled in the same
+            # pass.  Counts were tracked on ingest, and the block is
+            # reset below, so the sort may destroy the buffer.
             q = masked_quantiles(
                 self._block.matrix(),
                 self.quantiles,
                 counts=self._block.column_counts(),
                 overwrite=True,
             )
-        elif self.mode == "exact":
-            matrix = np.vstack(self._reports)
-            if np.isfinite(matrix).all():
-                q = summarize_epoch(matrix, self.quantiles)
-            else:
-                q = _partial_quantiles(matrix, self.quantiles)
         else:
             q = np.empty(shape)
             for i, sketch in enumerate(self._sketches):
@@ -363,7 +319,6 @@ class EpochAggregator:
             epoch=self._epoch, quantiles=q, n_machines_reporting=n,
             quality=quality,
         )
-        self._reports = []
         self._n_reports = 0
         if self._block is not None:
             self._block.reset()
@@ -390,7 +345,6 @@ class CollectionPipeline:
         strict: bool = False,
         quorum: Optional[QuorumPolicy] = None,
         dead_after: int = 4,
-        columnar: bool = True,
     ):
         if not machine_ids:
             raise ValueError("need at least one machine")
@@ -401,7 +355,7 @@ class CollectionPipeline:
         self.health = AgentHealthTracker(machine_ids, dead_after=dead_after)
         self.aggregator = EpochAggregator(
             metric_names, quantiles=quantiles, mode=mode,
-            fleet_size=len(machine_ids), quorum=quorum, columnar=columnar,
+            fleet_size=len(machine_ids), quorum=quorum,
         )
 
     def close_epoch(self) -> EpochSummary:

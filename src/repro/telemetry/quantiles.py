@@ -15,12 +15,9 @@ smallest observed value x such that at least a fraction p of samples are <= x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from repro.config import QuantileConfig
 
 
 def empirical_quantiles(values: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
@@ -47,19 +44,26 @@ def empirical_quantiles(values: np.ndarray, quantiles: Sequence[float]) -> np.nd
     return out
 
 
-def quantile_ranks(n: int, quantiles: Sequence[float]) -> np.ndarray:
+def quantile_ranks(
+    counts: "int | np.ndarray", quantiles: Sequence[float]
+) -> np.ndarray:
     """0-based order-statistic indices for the paper's quantile rule.
 
     The p-th quantile of ``n`` ordered samples is the ``ceil(n * p)``-th
-    order statistic (1-based), clipped to ``[1, n]``.  Shared by the exact
-    aggregation paths (:func:`summarize_epoch`, the collector, and the
-    fleet coordinator's partial merge) so they are bit-identical by
-    construction.
+    order statistic (1-based), clipped to ``[1, n]``.  ``counts`` is one
+    sample count, giving a ``(n_quantiles,)`` index vector, or an array
+    of per-metric counts, giving ``(n_metrics, n_quantiles)``.  A zero
+    count gives index 0; callers mask metrics nobody observed.
+
+    This is the one vectorized form of the rule: :func:`summarize_epoch`,
+    :func:`summarize_chunk`, :func:`masked_quantiles` and the fleet
+    coordinator's partial merge all take their ranks from it, so they
+    are bit-identical by construction.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    counts = np.asarray(counts)
     qs = np.asarray(quantiles, dtype=float)
-    return np.clip(np.ceil(n * qs).astype(int), 1, n) - 1
+    ranks = np.ceil(counts[..., None] * qs).astype(int)
+    return np.clip(ranks, 1, np.maximum(counts, 1)[..., None]) - 1
 
 
 def summarize_epoch(
@@ -106,9 +110,8 @@ def masked_quantiles(
     :func:`summarize_epoch` — and coinciding with it bit-for-bit when a
     metric has no gaps.  Metrics with zero observations yield NaN.
 
-    One sort (NaN sorts last) plus one vectorized rank gather replaces
-    the collector's historical per-quantile Python loop.  Callers must
-    pre-mask ``±inf`` to NaN (as every ingestion path does): infinities
+    One sort (NaN sorts last) plus one vectorized rank gather.  Callers
+    must pre-mask ``±inf`` to NaN (as every ingestion path does): infinities
     are not counted as observations but would otherwise occupy sort
     slots ahead of the NaN tail.
 
@@ -133,7 +136,6 @@ def masked_quantiles(
     if samples.ndim != 2:
         raise ValueError("samples must be (n_machines, n_metrics)")
     n_metrics = samples.shape[1]
-    qs = np.asarray(quantiles, dtype=float)
     if counts is None:
         counts = np.isfinite(samples).sum(axis=0)
     if overwrite:
@@ -141,16 +143,7 @@ def masked_quantiles(
         ordered = samples
     else:
         ordered = np.sort(samples, axis=0)
-    # ceil(count*p) as 1-based ranks, clipped to [1, count] per metric —
-    # elementwise identical to quantile_ranks(count, quantiles).
-    ranks = (
-        np.clip(
-            np.ceil(counts[:, None] * qs[None, :]).astype(int),
-            1,
-            np.maximum(counts, 1)[:, None],
-        )
-        - 1
-    )
+    ranks = quantile_ranks(counts, quantiles)
     out = ordered[ranks, np.arange(n_metrics)[:, None]]
     out[counts == 0] = np.nan
     return out
@@ -183,34 +176,10 @@ def summarize_chunk(
     return np.transpose(ordered[:, ranks, :], (0, 2, 1))
 
 
-@dataclass
-class QuantileSummarizer:
-    """Stateless helper bound to one :class:`QuantileConfig`.
-
-    Wraps the module functions so callers carry a single object instead of
-    threading quantile levels through every call site.
-    """
-
-    config: QuantileConfig = QuantileConfig()
-
-    def metric(self, values: np.ndarray) -> np.ndarray:
-        """Quantiles of one metric's per-machine samples for one epoch."""
-        return empirical_quantiles(values, self.config.quantiles)
-
-    def epoch(self, samples: np.ndarray) -> np.ndarray:
-        """Quantiles of all metrics for one epoch."""
-        return summarize_epoch(samples, self.config.quantiles)
-
-    def chunk(self, samples: np.ndarray) -> np.ndarray:
-        """Quantiles of all metrics for a chunk of epochs."""
-        return summarize_chunk(samples, self.config.quantiles)
-
-
 __all__ = [
     "empirical_quantiles",
     "masked_quantiles",
     "quantile_ranks",
     "summarize_epoch",
     "summarize_chunk",
-    "QuantileSummarizer",
 ]

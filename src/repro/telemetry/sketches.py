@@ -1,17 +1,13 @@
-"""Streaming quantile estimators.
+"""Streaming quantile estimation.
 
 Section 3.2 of the paper notes that as the datacenter grows, quantiles can be
 estimated with bounded error from a stream (citing Guha & McGregor).  This
-module provides two classic online estimators so the summarization step keeps
-scaling when exact computation over all machines becomes impractical:
-
-* :class:`GKQuantileSketch` -- the Greenwald-Khanna epsilon-approximate
-  sketch, giving rank error at most ``eps * n`` for any quantile with
-  O(1/eps * log(eps * n)) space.
-* :class:`P2QuantileEstimator` -- the P-square algorithm of Jain & Chlamtac,
-  tracking a single quantile in O(1) space with parabolic marker updates.
-
-Both are exercised by the scaling benchmark (experiment E11 in DESIGN.md).
+module provides the Greenwald-Khanna epsilon-approximate sketch
+(:class:`GKQuantileSketch`), giving rank error at most ``eps * n`` for any
+quantile with O(1/eps * log(eps * n)) space, so the summarization step keeps
+scaling when exact computation over all machines becomes impractical.  It is
+the aggregator's and the fleet's ``sketch`` mode, and the scaling benchmark
+(experiment E11 in DESIGN.md) measures it.
 """
 
 from __future__ import annotations
@@ -222,106 +218,4 @@ class GKQuantileSketch:
         return self._tuples[-1].value
 
 
-class P2QuantileEstimator:
-    """P-square single-quantile estimator (Jain & Chlamtac, 1985).
-
-    Maintains five markers whose heights approximate the min, the target
-    quantile and its half-way points, and the max; marker heights are
-    adjusted with a piecewise-parabolic formula as observations arrive.
-    Constant space, suitable for per-metric tracking on an aggregator node.
-    """
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must lie in (0, 1)")
-        self.q = q
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def insert(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("cannot insert NaN")
-        self._n += 1
-        if len(self._initial) < 5:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [
-                    1.0,
-                    1.0 + 2.0 * q,
-                    1.0 + 4.0 * q,
-                    3.0 + 2.0 * q,
-                    5.0,
-                ]
-            return
-
-        h, pos = self._heights, self._positions
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
-            h[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust interior markers.
-        for i in range(1, 4):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-
-    def extend(self, values) -> None:
-        for v in values:
-            self.insert(v)
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + d / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (p[j] - p[i])
-
-    def query(self) -> float:
-        """Current estimate of the tracked quantile."""
-        if self._n == 0:
-            raise ValueError("estimator is empty")
-        if len(self._initial) < 5:
-            ordered = sorted(self._initial)
-            rank = min(
-                max(int(math.ceil(self.q * len(ordered))), 1), len(ordered)
-            )
-            return ordered[rank - 1]
-        return self._heights[2]
-
-
-__all__ = ["GKQuantileSketch", "P2QuantileEstimator"]
+__all__ = ["GKQuantileSketch"]

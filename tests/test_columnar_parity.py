@@ -1,17 +1,21 @@
-"""Bit-identity proofs: columnar paths vs the per-machine paths.
+"""Bit-identity proofs: columnar paths vs the per-machine oracle.
 
-The columnar refactor (PR 10) is only allowed because every plane has
-an exact reference.  This suite pins, with ``assert_array_equal`` (no
-tolerances), that:
+The columnar epoch block is only allowed because every plane has an
+exact reference.  The reference for the exact summary lives here, as
+one copy: :func:`list_quantiles` (a per-quantile Python loop over each
+metric's observed samples) and :class:`ListAggregator` (one list row per
+report, stacked at close).  ``tests/test_fleet_partial.py`` and the
+``legacy_*`` baseline of ``benchmarks/test_columnar_ingest.py`` import
+them.  This suite pins, with ``assert_array_equal`` (no tolerances),
+that:
 
 * :func:`repro.telemetry.quantiles.masked_quantiles` is bit-identical
-  to ``summarize_epoch`` on fully-finite matrices and to the
-  collector's historical per-quantile loop (``_partial_quantiles``)
-  under arbitrary NaN patterns;
+  to ``summarize_epoch`` on fully-finite matrices and to
+  :func:`list_quantiles` under arbitrary NaN patterns;
 * the columnar :class:`EpochAggregator` (block + single-pass close)
-  emits the same summaries and quality records as the legacy
-  list-append path (``columnar=False``) under arbitrary NaN patterns,
-  report orderings, partial fleets, and below-quorum epochs
+  emits the same summaries and quality records as
+  :class:`ListAggregator` under arbitrary NaN patterns, report
+  orderings, partial fleets, and below-quorum epochs
   (hypothesis-driven);
 * the block-backed :class:`ShardFolder` + vectorized
   ``merge_partials`` reproduce the single-process aggregator over any
@@ -28,11 +32,94 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from repro.fleet.partial import ShardFolder, merge_partials
-from repro.telemetry.collector import EpochAggregator, _partial_quantiles
+from repro.telemetry.collector import (
+    EpochAggregator,
+    EpochQuality,
+    EpochSummary,
+)
 from repro.telemetry.quantiles import masked_quantiles, summarize_epoch
 from repro.telemetry.reliability import QuorumPolicy
 
 QUANTILES = (0.25, 0.50, 0.95)
+
+
+def list_quantiles(matrix, quantiles):
+    """Reference per-metric quantiles of a report matrix with NaN gaps.
+
+    Each metric's ``ceil(n*p)``-th order statistic over the machines
+    that reported it, one Python loop per quantile; all-NaN metrics come
+    back NaN.  It spells the rank rule out on its own rather than
+    calling :func:`repro.telemetry.quantiles.quantile_ranks`, so it
+    checks that rule instead of sharing it.
+    """
+    ordered = np.sort(matrix, axis=0)  # NaNs sort last
+    counts = np.isfinite(matrix).sum(axis=0)
+    n_metrics = matrix.shape[1]
+    out = np.empty((n_metrics, len(quantiles)), dtype=float)
+    cols = np.arange(n_metrics)
+    for j, p in enumerate(quantiles):
+        ranks = np.clip(np.ceil(counts * p).astype(int), 1,
+                        np.maximum(counts, 1)) - 1
+        out[:, j] = ordered[ranks, cols]
+    out[counts == 0] = np.nan
+    return out
+
+
+class ListAggregator:
+    """Reference exact aggregator: one NaN-masked list row per report.
+
+    Same contract as the exact :class:`EpochAggregator` (non-finite
+    entries dropped and counted, the quorum gate, the quality record)
+    without the epoch block: the close stacks the rows and applies
+    :func:`list_quantiles`.
+    """
+
+    def __init__(self, metric_names, quantiles=QUANTILES, fleet_size=None,
+                 quorum=None):
+        self.metric_names = list(metric_names)
+        self.quantiles = tuple(quantiles)
+        self.fleet_size = fleet_size
+        self.quorum = quorum if quorum is not None else QuorumPolicy(
+            min_fraction=0.0, min_count=1
+        )
+        self._epoch = 0
+        self._reports = []
+        self._dropped = 0
+
+    def submit(self, report):
+        report = np.asarray(report, dtype=float)
+        finite = np.isfinite(report)
+        if not finite.all():
+            self._dropped += int((~finite).sum())
+            report = np.where(finite, report, np.nan)
+        self._reports.append(report)
+
+    def submit_batch(self, matrix):
+        for row in np.asarray(matrix, dtype=float):
+            self.submit(row)
+
+    def close_epoch(self):
+        n = len(self._reports)
+        if n == 0 and self.fleet_size is None:
+            raise ValueError("no machine reported this epoch")
+        quorum_met = self.quorum.met(n, self.fleet_size)
+        if quorum_met and n:
+            q = list_quantiles(np.vstack(self._reports), self.quantiles)
+        else:
+            q = np.full((len(self.metric_names), len(self.quantiles)),
+                        np.nan)
+        quality = EpochQuality(
+            epoch=self._epoch, n_reporting=n, fleet_size=self.fleet_size,
+            dropped_samples=self._dropped, quorum_met=quorum_met,
+        )
+        summary = EpochSummary(
+            epoch=self._epoch, quantiles=q, n_machines_reporting=n,
+            quality=quality,
+        )
+        self._reports = []
+        self._dropped = 0
+        self._epoch += 1
+        return summary
 
 
 def _matrix_strategy(max_machines=12, max_metrics=5):
@@ -68,7 +155,7 @@ class TestMaskedQuantilesKernel:
         masked = np.where(np.isfinite(matrix), matrix, np.nan)
         assert_array_equal(
             masked_quantiles(masked, QUANTILES),
-            _partial_quantiles(masked, QUANTILES),
+            list_quantiles(masked, QUANTILES),
         )
 
     @given(_matrix_strategy())
@@ -130,15 +217,15 @@ class TestAggregatorColumnarParity:
         names = [f"metric-{j}" for j in range(m)]
         quorum = QuorumPolicy(min_fraction=0.0, min_count=min_count)
 
-        def build(columnar):
-            return EpochAggregator(
+        def build(cls):
+            return cls(
                 names, quantiles=QUANTILES, fleet_size=n + 2,
-                quorum=quorum, columnar=columnar,
+                quorum=quorum,
             )
 
-        legacy = _close(build(False), matrix, per_report=True)
+        legacy = _close(build(ListAggregator), matrix, per_report=True)
         block = _close(
-            build(True), matrix, per_report=not batch,
+            build(EpochAggregator), matrix, per_report=not batch,
             shuffle_seed=seed if shuffle else None,
         )
         assert_array_equal(block.quantiles, legacy.quantiles)
@@ -148,10 +235,10 @@ class TestAggregatorColumnarParity:
     def test_below_quorum_epoch_matches(self):
         names = ["a", "b"]
         quorum = QuorumPolicy(min_fraction=0.9, min_count=1)
-        for columnar in (True, False):
-            agg = EpochAggregator(
+        for cls in (EpochAggregator, ListAggregator):
+            agg = cls(
                 names, quantiles=QUANTILES, fleet_size=10,
-                quorum=quorum, columnar=columnar,
+                quorum=quorum,
             )
             agg.submit(np.array([1.0, 2.0]))
             summary = agg.close_epoch()
@@ -170,24 +257,21 @@ class TestAggregatorColumnarParity:
             [7.0, 8.0, 9.0],
         ])
         results = {}
-        for columnar in (True, False):
-            agg = EpochAggregator(
+        for cls in (EpochAggregator, ListAggregator):
+            agg = cls(
                 ["x", "y", "z"], quantiles=QUANTILES,
-                fleet_size=3, columnar=columnar,
+                fleet_size=3,
             )
             agg.submit_batch(matrix)
-            results[columnar] = agg.close_epoch()
-        assert results[True].quality.dropped_samples == 3
-        assert results[True].quality == results[False].quality
-        assert_array_equal(
-            results[True].quantiles, results[False].quantiles
-        )
+            results[cls] = agg.close_epoch()
+        block, ref = results[EpochAggregator], results[ListAggregator]
+        assert block.quality.dropped_samples == 3
+        assert block.quality == ref.quality
+        assert_array_equal(block.quantiles, ref.quantiles)
 
     def test_block_reuse_across_epochs(self):
         agg = EpochAggregator(["x", "y"], quantiles=QUANTILES, fleet_size=4)
-        ref = EpochAggregator(
-            ["x", "y"], quantiles=QUANTILES, fleet_size=4, columnar=False
-        )
+        ref = ListAggregator(["x", "y"], quantiles=QUANTILES, fleet_size=4)
         rng = np.random.default_rng(11)
         for _ in range(5):
             matrix = rng.normal(size=(4, 2))
@@ -211,9 +295,9 @@ class TestFleetColumnarParity:
     ):
         n, m, seed, gap_p = params
         matrix = _build_matrix(n, m, seed, gap_p)
-        agg = EpochAggregator(
+        agg = ListAggregator(
             [f"q{j}" for j in range(m)], quantiles=QUANTILES,
-            fleet_size=n, columnar=False,
+            fleet_size=n,
         )
         for row in matrix:
             agg.submit(row)

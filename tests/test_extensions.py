@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.extensions import (
-    CrisisEvolutionModel,
-    CrisisForecaster,
-)
+from repro.extensions import CrisisEvolutionModel
+from repro.forecast.offline import OfflineCrisisForecaster
 from repro.methods import FingerprintMethod
 
 
@@ -21,7 +19,7 @@ def fitted(small_trace):
 class TestCrisisForecaster:
     def test_fit_and_score(self, small_trace, fitted):
         method, crises = fitted
-        fc = CrisisForecaster(
+        fc = OfflineCrisisForecaster(
             small_trace, method.thresholds, method.relevant,
             lead_epochs=1, window_epochs=3,
         ).fit(crises[:10])
@@ -31,14 +29,14 @@ class TestCrisisForecaster:
 
     def test_unfitted_raises(self, small_trace, fitted):
         method, _ = fitted
-        fc = CrisisForecaster(small_trace, method.thresholds,
-                              method.relevant)
+        fc = OfflineCrisisForecaster(small_trace, method.thresholds,
+                                     method.relevant)
         with pytest.raises(RuntimeError):
             fc.score_epochs(np.arange(5))
 
     def test_evaluate_bounds(self, small_trace, fitted):
         method, crises = fitted
-        fc = CrisisForecaster(
+        fc = OfflineCrisisForecaster(
             small_trace, method.thresholds, method.relevant,
             lead_epochs=1, window_epochs=3,
         ).fit(crises[:10])
@@ -50,7 +48,7 @@ class TestCrisisForecaster:
     def test_normal_epochs_score_low(self, small_trace, fitted):
         """Far from crises, the forecaster should rarely alarm."""
         method, crises = fitted
-        fc = CrisisForecaster(
+        fc = OfflineCrisisForecaster(
             small_trace, method.thresholds, method.relevant,
             lead_epochs=1, window_epochs=3,
         ).fit(crises[:10])
@@ -60,8 +58,8 @@ class TestCrisisForecaster:
     def test_validation(self, small_trace, fitted):
         method, _ = fitted
         with pytest.raises(ValueError):
-            CrisisForecaster(small_trace, method.thresholds,
-                             method.relevant, lead_epochs=0)
+            OfflineCrisisForecaster(small_trace, method.thresholds,
+                                    method.relevant, lead_epochs=0)
 
 
 class TestCrisisEvolutionModel:

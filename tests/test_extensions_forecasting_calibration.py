@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.extensions import CrisisForecaster
+from repro.forecast.offline import OfflineCrisisForecaster
 from repro.methods import FingerprintMethod
 
 
@@ -12,7 +12,7 @@ def forecaster(small_trace):
     method = FingerprintMethod()
     crises = small_trace.labeled_crises
     method.fit(small_trace, crises)
-    fc = CrisisForecaster(
+    fc = OfflineCrisisForecaster(
         small_trace, method.thresholds, method.relevant,
         lead_epochs=1, window_epochs=3,
     ).fit(crises[:10])
@@ -50,21 +50,3 @@ class TestCalibrateThreshold:
         assert fc.calibrate_threshold(0.10) == fc.calibrate_threshold(
             false_alarm_budget=0.10
         )
-
-
-class TestDeprecatedCrisesArg:
-    def test_old_convention_warns_and_matches(self, forecaster):
-        fc, crises = forecaster
-        expected = fc.calibrate_threshold(false_alarm_budget=0.02)
-        with pytest.warns(DeprecationWarning):
-            got = fc.calibrate_threshold(crises[:10],
-                                         false_alarm_budget=0.02)
-        assert got == expected
-
-    def test_new_convention_does_not_warn(self, forecaster):
-        import warnings
-
-        fc, _ = forecaster
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            fc.calibrate_threshold(false_alarm_budget=0.02)

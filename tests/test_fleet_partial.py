@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.fleet.partial import ShardFolder, merge_partials
-from repro.telemetry.collector import _partial_quantiles
 from repro.telemetry.quantiles import summarize_epoch
+from tests.test_columnar_parity import list_quantiles
 
 QUANTILES = (0.25, 0.50, 0.95)
 
@@ -45,7 +45,7 @@ class TestExactMode:
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_matches_nan_aware_collector_path(self, n_shards):
-        # With gaps, the single-process reference is the collector's
+        # With gaps, the single-process reference is the list oracle's
         # NaN-aware per-metric order statistics.
         rng = np.random.default_rng(43)
         matrix = rng.normal(size=(97, 4))
@@ -53,7 +53,7 @@ class TestExactMode:
         partials = fold_split(matrix, n_shards)
         merged = merge_partials(partials, 4, QUANTILES)
         np.testing.assert_array_equal(
-            merged, _partial_quantiles(matrix, QUANTILES)
+            merged, list_quantiles(matrix, QUANTILES)
         )
 
     def test_counts_and_drops(self):
@@ -77,7 +77,7 @@ class TestExactMode:
         merged = merge_partials(fold_split(matrix, 2), 2, (0.5,))
         clean = np.where(np.isfinite(matrix), matrix, np.nan)
         np.testing.assert_array_equal(
-            merged, _partial_quantiles(clean, (0.5,))
+            merged, list_quantiles(clean, (0.5,))
         )
 
     def test_empty_metric_is_nan(self):

@@ -1,16 +1,11 @@
-"""Offline forecaster rehoming: parity, nan regression, edge cases."""
+"""Offline forecaster: nan regression and edge cases."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.extensions import CrisisForecaster
-from repro.extensions.forecasting import ForecastResult
-from repro.forecast.offline import (
-    OfflineCrisisForecaster,
-    OfflineForecastResult,
-)
+from repro.forecast.offline import OfflineCrisisForecaster
 from repro.methods import FingerprintMethod
 
 
@@ -22,61 +17,31 @@ def method(small_trace):
 
 
 @pytest.fixture(scope="module")
-def forecasters(small_trace, method):
-    """The wrapper and the rehomed implementation, identically fitted."""
-    kwargs = dict(lead_epochs=1, window_epochs=3)
+def forecaster(small_trace, method):
     crises = small_trace.labeled_crises
-    wrapper = CrisisForecaster(
-        small_trace, method.thresholds, method.relevant, **kwargs
+    fc = OfflineCrisisForecaster(
+        small_trace, method.thresholds, method.relevant,
+        lead_epochs=1, window_epochs=3,
     ).fit(crises[:10])
-    rehomed = OfflineCrisisForecaster(
-        small_trace, method.thresholds, method.relevant, **kwargs
-    ).fit(crises[:10])
-    return wrapper, rehomed, crises
-
-
-class TestParity:
-    """The extensions shim must preserve the offline path bit-for-bit."""
-
-    def test_wrapper_is_the_offline_forecaster(self):
-        assert issubclass(CrisisForecaster, OfflineCrisisForecaster)
-        assert ForecastResult is OfflineForecastResult
-
-    def test_scores_identical(self, forecasters):
-        wrapper, rehomed, _ = forecasters
-        epochs = np.arange(200, 260)
-        assert np.array_equal(
-            wrapper.score_epochs(epochs), rehomed.score_epochs(epochs)
-        )
-
-    def test_recall_and_false_alarms_preserved(self, forecasters):
-        wrapper, rehomed, crises = forecasters
-        threshold = rehomed.calibrate_threshold(false_alarm_budget=0.02)
-        assert wrapper.calibrate_threshold(
-            false_alarm_budget=0.02
-        ) == threshold
-        a = wrapper.evaluate(crises[10:], threshold=threshold)
-        b = rehomed.evaluate(crises[10:], threshold=threshold)
-        assert a == b
-        assert a.n_crises > 0 and np.isfinite(a.recall)
+    return fc, crises
 
 
 class TestEvaluateNanRegression:
     """evaluate() must not silently report recall=nan (satellite fix)."""
 
-    def test_no_detected_crises_raises(self, forecasters, small_trace):
-        wrapper, _, crises = forecasters
+    def test_no_detected_crises_raises(self, forecaster, small_trace):
+        fc, crises = forecaster
         undetected = [
             dataclasses.replace(c, detected_epoch=None)
             for c in crises[10:]
         ]
         with pytest.raises(ValueError, match="n_crises=0"):
-            wrapper.evaluate(undetected, threshold=0.5)
+            fc.evaluate(undetected, threshold=0.5)
 
-    def test_empty_crisis_list_raises(self, forecasters):
-        wrapper, _, _ = forecasters
+    def test_empty_crisis_list_raises(self, forecaster):
+        fc, _ = forecaster
         with pytest.raises(ValueError, match="n_crises=0"):
-            wrapper.evaluate([], threshold=0.5)
+            fc.evaluate([], threshold=0.5)
 
 
 class TestEdgeCases:

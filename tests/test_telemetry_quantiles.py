@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.config import QuantileConfig
 from repro.telemetry.quantiles import (
-    QuantileSummarizer,
     empirical_quantiles,
     summarize_chunk,
     summarize_epoch,
@@ -99,17 +97,3 @@ class TestSummarizeChunk:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             summarize_chunk(np.zeros((3, 4)), [0.5])
-
-
-class TestQuantileSummarizer:
-    def test_uses_config(self):
-        s = QuantileSummarizer(QuantileConfig(quantiles=(0.5,)))
-        out = s.epoch(np.arange(12.0).reshape(6, 2))
-        assert out.shape == (2, 1)
-
-    def test_scaling_independent_of_machines(self):
-        """The summary size depends on metrics, never on machine count."""
-        s = QuantileSummarizer()
-        few = s.epoch(np.random.default_rng(3).normal(size=(10, 4)))
-        many = s.epoch(np.random.default_rng(3).normal(size=(500, 4)))
-        assert few.shape == many.shape == (4, 3)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.quantiles import empirical_quantiles
-from repro.telemetry.sketches import GKQuantileSketch, P2QuantileEstimator
+from repro.telemetry.sketches import GKQuantileSketch
 
 
 class TestGKSketch:
@@ -63,42 +62,3 @@ class TestGKSketch:
         sk = GKQuantileSketch(eps=0.05)
         sk.extend(vals)
         assert sk.query(0.5) in vals
-
-
-class TestP2Estimator:
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            P2QuantileEstimator(0.0)
-        with pytest.raises(ValueError):
-            P2QuantileEstimator(1.0)
-
-    def test_empty_query_raises(self):
-        with pytest.raises(ValueError):
-            P2QuantileEstimator(0.5).query()
-
-    def test_small_sample_exact(self):
-        est = P2QuantileEstimator(0.5)
-        est.extend([3.0, 1.0, 2.0])
-        assert est.query() == 2.0
-
-    @pytest.mark.parametrize("q", [0.25, 0.5, 0.95])
-    def test_converges_on_uniform(self, q):
-        rng = np.random.default_rng(10)
-        est = P2QuantileEstimator(q)
-        vals = rng.uniform(size=20000)
-        est.extend(vals)
-        truth = empirical_quantiles(vals, [q])[0]
-        assert abs(est.query() - truth) < 0.03
-
-    def test_converges_on_lognormal(self):
-        rng = np.random.default_rng(11)
-        est = P2QuantileEstimator(0.5)
-        vals = rng.lognormal(0.0, 1.0, size=30000)
-        est.extend(vals)
-        truth = float(np.median(vals))
-        assert abs(est.query() - truth) / truth < 0.08
-
-    def test_constant_space(self):
-        est = P2QuantileEstimator(0.9)
-        est.extend(range(10000))
-        assert len(est._heights) == 5
