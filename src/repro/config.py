@@ -68,15 +68,6 @@ class ThresholdConfig:
         if self.window_days <= 0:
             raise ValueError("window_days must be positive")
 
-    @property
-    def window_epochs(self) -> int:
-        """Window length at the paper's epoch cadence.
-
-        Consumers with a non-default :class:`~repro.telemetry.epochs.EpochClock`
-        derive the window with ``clock.span_epochs(window_days)`` instead.
-        """
-        return self.window_days * EPOCHS_PER_DAY
-
 
 @dataclass(frozen=True)
 class SelectionConfig:

@@ -25,7 +25,6 @@ from repro.core.engine import (
     EpochStateEngine,
     RollingThresholdTracker,
     ThresholdSeries,
-    compute_thresholds,
     fingerprint_from_summaries,
     fingerprint_from_window,
     threshold_series_for,
@@ -68,7 +67,6 @@ __all__ = [
     "EpochStateEngine",
     "RollingThresholdTracker",
     "ThresholdSeries",
-    "compute_thresholds",
     "fingerprint_from_summaries",
     "fingerprint_from_window",
     "threshold_series_for",

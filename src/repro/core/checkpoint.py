@@ -18,6 +18,11 @@ mid-checkpoint leaves the previous snapshot intact, never a torn file.
 Method configuration (:class:`~repro.config.FingerprintingConfig`) is
 code, not state: the caller passes the same config to ``load_*`` that the
 original object was built with.
+
+A monitor archive keeps only the threshold window of epoch history (the
+tracker's ring, at most ``window_epochs`` rows) plus the count of epochs
+seen, so its size is bounded by the window, not by uptime.  Archives
+written before that held the full history; they load unchanged.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ def save_monitor(
         "extra": extra or {},
         "n_metrics": monitor.n_metrics,
         "n_quantiles": monitor.store.n_quantiles,
+        "store_epochs": len(monitor.store),
         "epoch_minutes": monitor.clock.epoch_minutes,
         "threshold_refresh_epochs": monitor.threshold_refresh_epochs,
         "min_history_epochs": monitor.min_history_epochs,
@@ -109,8 +115,8 @@ def save_monitor(
     arrays: Dict[str, np.ndarray] = {
         "header": _pack_header(header),
         "relevant": np.asarray(monitor.relevant, dtype=int),
-        "store_values": np.asarray(monitor.store.values()),
-        "store_anomalous": np.asarray(monitor.store.anomalous_mask()),
+        "store_values": monitor.store.values(),
+        "store_anomalous": monitor.store.anomalous_mask(),
     }
     # Opt-in discovery state rides inside the monitor archive so monitor
     # + engine stay one atomic snapshot.  Checkpoints written without an
@@ -157,7 +163,11 @@ def load_monitor(
     """Restore a monitor saved by :func:`save_monitor`.
 
     ``config`` and ``reliability`` must match the original monitor's; they
-    are code-side parameters and are not serialized.
+    are code-side parameters and are not serialized.  The archive holds
+    only the original threshold window of history, so a ``config`` whose
+    window needs more rows than it holds raises
+    :class:`CheckpointFormatError` rather than restoring thresholds over a
+    shorter window than an uninterrupted run would use.
 
     A damaged archive raises :class:`CheckpointCorruptError` (never a raw
     ``KeyError``/``zipfile`` error), so a caller holding older snapshots
@@ -179,13 +189,20 @@ def load_monitor(
                 epoch_minutes=header.get("epoch_minutes", EPOCH_MINUTES)
             ),
         )
+        # The tracker's sorted heads and tails are derived state: prime
+        # them from the stored window rather than serializing them.
+        # Archives without ``store_epochs`` hold the full history.
         values = data["store_values"]
-        if values.shape[0]:
-            monitor.store.extend(values, data["store_anomalous"])
-        # The engine's rolling threshold tracker is derived state:
-        # rebuild it from the restored store rather than serializing
-        # its internals.
-        monitor.engine.rebuild_tracker()
+        epochs = header.get("store_epochs", values.shape[0])
+        window = monitor.engine.window_epochs
+        if values.shape[0] < min(epochs, window):
+            raise CheckpointFormatError(
+                f"{path} holds {values.shape[0]} epochs of history; a "
+                f"{window}-epoch threshold window needs "
+                f"{min(epochs, window)} (was it saved with a smaller "
+                "window_days?)"
+            )
+        monitor.store.prime(values, data["store_anomalous"], epochs)
         if header["has_thresholds"]:
             monitor.thresholds = QuantileThresholds(
                 cold=data["thresholds_cold"], hot=data["thresholds_hot"]

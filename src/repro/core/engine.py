@@ -17,15 +17,15 @@ implementation all four share (see ``docs/engine.md``):
   bookkeeping cost);
 * :class:`ThresholdSeries` — thresholds "as of epoch e" over a recorded
   trace, served incrementally (replay, evaluation);
-* :class:`EpochStateEngine` — the live path: owns the quantile store, the
-  tracker, the current thresholds, and the refresh cadence, with every
-  epoch length derived from an :class:`~repro.telemetry.epochs.EpochClock`
-  instead of a hardcoded epochs-per-day constant;
+* :class:`EpochStateEngine` — the live path: owns the tracker (whose
+  ring is the live monitor's only record of past epochs), the current
+  thresholds, and the refresh cadence, with every epoch length derived
+  from an :class:`~repro.telemetry.epochs.EpochClock` instead of a
+  hardcoded epochs-per-day constant;
 * :func:`fingerprint_from_window` / :func:`fingerprint_from_summaries` —
   the single fingerprint-recomputation kernel (recompute-on-parameter-
   change, Section 6.3), shared so every plane averages summary vectors in
-  exactly the same floating-point order;
-* :func:`compute_thresholds` — the one-shot (offline) threshold path.
+  exactly the same floating-point order.
 
 Incremental tracker design
 --------------------------
@@ -34,12 +34,13 @@ queried — the cold (2nd) and hot (98th) percentile — so the tracker does
 not keep each series fully sorted.  Per series it maintains a sorted
 *head* (the smallest ~cold-fraction values plus slack) and a sorted
 *tail* (the largest ~(100-hot)-fraction values plus slack) over the
-values currently in the window, alongside a ring buffer of the raw
-admitted epochs.  Admitting an epoch touches a head/tail only when the
-value lands inside it (a ~4% event in steady state at 2/98), eviction
-removes by binary search, and the percentile query interpolates directly
-between the two neighboring order statistics using numpy's own
-linear-method arithmetic, so the result is the same IEEE-754 value
+values currently in the window, alongside a ring buffer of every raw
+epoch in the window (anomalous ones included, but not admitted).
+Admitting an epoch touches a head/tail only when the value lands inside
+it (a ~4% event in steady state at 2/98), eviction removes by binary
+search, and the percentile query interpolates directly between the two
+neighboring order statistics using numpy's own linear-method
+arithmetic, so the result is the same IEEE-754 value
 ``np.percentile``/``np.nanpercentile`` would produce.  When evictions
 erode a head/tail below what the query needs (a bounded-random-walk
 event made rare by the slack), that one series is rebuilt from the ring
@@ -56,7 +57,6 @@ from repro.config import FingerprintingConfig
 from repro.core.summary import summary_vectors
 from repro.core.thresholds import QuantileThresholds, percentile_thresholds
 from repro.telemetry.epochs import EpochClock
-from repro.telemetry.store import QuantileStore
 
 #: Extra sorted slots kept beyond what the percentile query strictly
 #: needs.  Evictions shrink a head/tail by at most one slot each, so a
@@ -102,6 +102,10 @@ class RollingThresholdTracker:
     what :func:`percentile_thresholds` would over the same window — same
     interpolation, same NaN semantics, same loud failure when a series
     has no reported history.
+
+    The ring keeps every epoch of the window, anomalous ones included, so
+    it doubles as the bounded history a checkpoint persists
+    (:meth:`values`, :meth:`anomalous_mask`) and :meth:`prime` restores.
     """
 
     def __init__(
@@ -134,7 +138,7 @@ class RollingThresholdTracker:
         self._t_target = min(W, need_tail + _SLACK)
         self._t_cap = min(W, self._t_target + _SLACK)
 
-        self._ring = np.empty((W, S), dtype=float)  # raw admitted epochs
+        self._ring = np.empty((W, S), dtype=float)  # raw epochs in window
         self._alive = np.zeros(W, dtype=bool)  # slot admitted & in window
         self._head = np.empty((S, self._h_cap), dtype=float)
         self._tail = np.empty((S, self._t_cap), dtype=float)
@@ -158,18 +162,21 @@ class RollingThresholdTracker:
         """Advance one epoch; admit ``values`` unless ``anomalous``.
 
         Anomalous (or quarantined) epochs still advance time — they age
-        older epochs out of the trailing window — but never contribute to
-        the percentile state, mirroring the crisis-free filter of the
-        window query they replace.
+        older epochs out of the trailing window — and are kept in the
+        ring, but never contribute to the percentile state, mirroring the
+        crisis-free filter of the window query they replace.
         """
-        v = np.asarray(values, dtype=float).reshape(self._S)
+        v = np.asarray(values, dtype=float)
+        shape = (self.n_metrics, self.n_quantiles)
+        if v.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {v.shape}")
         slot = self._t % self.window_epochs
         if self._alive[slot]:
             self._evict(self._ring[slot])
             self._alive[slot] = False
             self._n_win -= 1
+        self._ring[slot] = v.reshape(self._S)
         if not anomalous:
-            self._ring[slot] = v
             self._alive[slot] = True
             self._n_win += 1
             self._admit(self._ring[slot])
@@ -263,23 +270,41 @@ class RollingThresholdTracker:
         self._tail[s, :t] = col[n - t :]
         self._tl[s] = t
 
-    def prime(self, values: np.ndarray, anomalous: np.ndarray) -> None:
+    def prime(
+        self,
+        values: np.ndarray,
+        anomalous: np.ndarray,
+        epochs: Optional[int] = None,
+    ) -> None:
         """Bulk-load a history, as if each epoch had been appended.
 
-        Used on checkpoint restore: the tracker is derived state, rebuilt
-        from the persisted store in one vectorized pass rather than
-        replayed epoch by epoch.
+        ``values`` and ``anomalous`` hold the last ``len(values)`` of
+        ``epochs`` appended epochs (default: the whole history), oldest
+        first; each row lands in the ring slot of its absolute epoch.
+        They must cover the window, i.e. at least ``min(epochs,
+        window_epochs)`` rows.  Used on checkpoint restore, in one
+        vectorized pass rather than a replay epoch by epoch.
         """
         values = np.asarray(values, dtype=float)
         anomalous = np.asarray(anomalous, dtype=bool)
         n = values.shape[0]
+        if values.shape[1:] != (self.n_metrics, self.n_quantiles) or \
+                anomalous.shape != (n,):
+            raise ValueError("history shape mismatch")
+        epochs = n if epochs is None else int(epochs)
         W = self.window_epochs
-        start = max(n - W, 0)
-        self._t = n
+        if epochs < n:
+            raise ValueError(f"{n} rows cannot be the last of {epochs} epochs")
+        if n < min(epochs, W):
+            raise ValueError(
+                f"{n} rows do not cover a {W}-epoch window at epoch {epochs}"
+            )
+        start = max(epochs - W, 0)
+        self._t = epochs
         self._alive[:] = False
-        window = values[start:].reshape(n - start, self._S)
-        keep = ~anomalous[start:]
-        slots = np.arange(start, n) % W
+        window = values[n - (epochs - start):].reshape(-1, self._S)
+        keep = ~anomalous[n - (epochs - start):]
+        slots = np.arange(start, epochs) % W
         self._ring[slots] = window
         self._alive[slots] = keep
         admitted = window[keep]
@@ -335,28 +360,22 @@ class RollingThresholdTracker:
             cold=cold.reshape(shape), hot=hot.reshape(shape)
         )
 
-    def window_values(self) -> np.ndarray:
-        """The admitted window in chronological order (test support)."""
+    # -- history -----------------------------------------------------------
+
+    def _window_slots(self) -> np.ndarray:
         lo = max(self._t - self.window_epochs, 0)
-        ks = np.arange(lo, self._t)
-        slots = ks % self.window_epochs
-        keep = self._alive[slots]
-        return self._ring[slots[keep]].reshape(
+        return np.arange(lo, self._t) % self.window_epochs
+
+    def values(self) -> np.ndarray:
+        """Every epoch in the window, oldest first: at most
+        ``window_epochs`` rows of shape ``(n_metrics, n_quantiles)``."""
+        return self._ring[self._window_slots()].reshape(
             -1, self.n_metrics, self.n_quantiles
         )
 
-
-def compute_thresholds(
-    history: np.ndarray,
-    cold_percentile: float = 2.0,
-    hot_percentile: float = 98.0,
-) -> QuantileThresholds:
-    """One-shot thresholds over a fixed history (the offline path).
-
-    Thin front door over :func:`percentile_thresholds` so offline
-    consumers route through the engine like the incremental planes do.
-    """
-    return percentile_thresholds(history, cold_percentile, hot_percentile)
+    def anomalous_mask(self) -> np.ndarray:
+        """Which rows of :meth:`values` were appended anomalous."""
+        return ~self._alive[self._window_slots()]
 
 
 def fingerprint_from_summaries(
@@ -485,7 +504,7 @@ def threshold_series_for(
 
 
 class EpochStateEngine:
-    """Live epoch state: store, trailing window, thresholds, cadence.
+    """Live epoch state: trailing window, thresholds, cadence.
 
     The streaming monitor delegates all method state here and keeps only
     protocol logic (detection, identification, the crisis library).  All
@@ -518,7 +537,6 @@ class EpochStateEngine:
             if min_history_epochs is not None
             else 7 * self.clock.per_day
         )
-        self.store = QuantileStore(n_metrics, n_quantiles)
         self.tracker = RollingThresholdTracker(
             n_metrics, n_quantiles, self.window_epochs,
             cfg_t.cold_percentile, cfg_t.hot_percentile,
@@ -542,7 +560,7 @@ class EpochStateEngine:
         flagged anomalous so it can never enter a threshold window, and
         the refresh countdown does not advance.
         """
-        epoch = self.store.append(values, anomalous or frozen)
+        epoch = len(self.tracker)
         self.tracker.append(values, anomalous or frozen)
         if frozen:
             return epoch, False
@@ -550,7 +568,7 @@ class EpochStateEngine:
         refreshed = False
         if (
             self.thresholds is None
-            and len(self.store) >= self.min_history_epochs
+            and len(self.tracker) >= self.min_history_epochs
         ) or self.epochs_since_refresh >= self.threshold_refresh_epochs:
             refreshed = self.refresh_thresholds()
             self.epochs_since_refresh = 0
@@ -564,16 +582,11 @@ class EpochStateEngine:
         self.version += 1
         return True
 
-    def rebuild_tracker(self) -> None:
-        """Re-derive the tracker from the store (checkpoint restore)."""
-        self.tracker.prime(self.store.values(), self.store.anomalous_mask())
-
 
 __all__ = [
     "EpochStateEngine",
     "RollingThresholdTracker",
     "ThresholdSeries",
-    "compute_thresholds",
     "fingerprint_from_summaries",
     "fingerprint_from_window",
     "threshold_series_for",

@@ -13,11 +13,15 @@ Each ingested epoch can emit events:
 * :class:`EpochUntrusted` — the epoch failed the quality gate and was
   quarantined (see below).
 
-Hot/cold thresholds are maintained from the monitor's own
-:class:`~repro.telemetry.store.QuantileStore` over a trailing crisis-free
-window.  Relevant metrics come from offline analysis (feature selection
-needs per-machine data the stream does not carry) and can be swapped at
-any time; the library re-fingerprints automatically.
+Hot/cold thresholds are maintained over a trailing crisis-free window by
+the engine's :class:`~repro.core.engine.RollingThresholdTracker`, whose
+ring of the last ``window_epochs`` epochs is the monitor's only record of
+past epochs (:attr:`StreamingCrisisMonitor.store`): memory and
+checkpoints stay bounded by the window, not by uptime.  Past crises keep
+their own raw quantile windows for re-fingerprinting.  Relevant metrics
+come from offline analysis (feature selection needs per-machine data the
+stream does not carry) and can be swapped at any time; the library
+re-fingerprints automatically.
 
 **Quality gating.**  Telemetry degrades exactly when crises happen, so
 every epoch passes a trust gate before it can influence the method's
@@ -43,7 +47,11 @@ import numpy as np
 
 from repro.config import FingerprintingConfig, ReliabilityConfig
 from repro.core.columnar import WindowBlock
-from repro.core.engine import EpochStateEngine, fingerprint_from_window
+from repro.core.engine import (
+    EpochStateEngine,
+    RollingThresholdTracker,
+    fingerprint_from_window,
+)
 from repro.core.identification import (
     UNKNOWN,
     estimate_threshold_online,
@@ -52,7 +60,6 @@ from repro.index import FingerprintIndex, create_index
 from repro.core.thresholds import QuantileThresholds
 from repro.telemetry.collector import EpochQuality
 from repro.telemetry.epochs import EpochClock
-from repro.telemetry.store import QuantileStore
 from repro.telemetry.validation import validate_epoch_summary
 
 
@@ -127,14 +134,10 @@ class StreamingCrisisMonitor:
         self.config = config
         self.reliability = reliability
         self.n_metrics = n_metrics
-        self.relevant = np.asarray(relevant_metrics, dtype=int)
-        if self.relevant.size == 0:
-            raise ValueError("need at least one relevant metric")
-        if np.any((self.relevant < 0) | (self.relevant >= n_metrics)):
-            raise ValueError("relevant metric index out of range")
-        # All epoch state — the quantile store, the trailing threshold
-        # window, the refresh cadence (default: daily, after a week of
-        # history, per the clock) — lives in the engine.
+        self.relevant = self._checked_relevant(relevant_metrics)
+        # All epoch state — the trailing threshold window, the refresh
+        # cadence (default: daily, after a week of history, per the
+        # clock) — lives in the engine.
         self._engine = EpochStateEngine(
             n_metrics,
             cfg_q.count,
@@ -173,8 +176,13 @@ class StreamingCrisisMonitor:
         return self._engine.clock
 
     @property
-    def store(self) -> QuantileStore:
-        return self._engine.store
+    def store(self) -> RollingThresholdTracker:
+        """The epoch history: the tracker, whose ring holds the window.
+
+        ``len(store)`` counts every epoch ingested; ``store.values()``
+        holds at most ``engine.window_epochs`` of them.
+        """
+        return self._engine.tracker
 
     @property
     def thresholds(self) -> Optional[QuantileThresholds]:
@@ -202,12 +210,17 @@ class StreamingCrisisMonitor:
 
     # -- parameter management ------------------------------------------------
 
-    def set_relevant_metrics(self, relevant: Sequence[int]) -> None:
-        """Swap the fingerprint columns (from fresh offline selection)."""
+    def _checked_relevant(self, relevant: Sequence[int]) -> np.ndarray:
         relevant = np.asarray(relevant, dtype=int)
         if relevant.size == 0:
             raise ValueError("need at least one relevant metric")
-        self.relevant = relevant
+        if np.any((relevant < 0) | (relevant >= self.n_metrics)):
+            raise ValueError("relevant metric index out of range")
+        return relevant
+
+    def set_relevant_metrics(self, relevant: Sequence[int]) -> None:
+        """Swap the fingerprint columns (from fresh offline selection)."""
+        self.relevant = self._checked_relevant(relevant)
         self._invalidate_indexes()
 
     @property

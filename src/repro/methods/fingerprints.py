@@ -13,12 +13,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.config import FingerprintingConfig, SelectionConfig
-from repro.core.engine import compute_thresholds, fingerprint_from_window
+from repro.core.engine import fingerprint_from_window
 from repro.core.selection import (
     select_crisis_metrics,
     select_relevant_metrics,
 )
-from repro.core.thresholds import QuantileThresholds
+from repro.core.thresholds import QuantileThresholds, percentile_thresholds
 from repro.datacenter.trace import CrisisRecord, DatacenterTrace
 from repro.methods.base import OfflineMethod
 
@@ -82,7 +82,7 @@ class FingerprintMethod(OfflineMethod):
         mask[:lo] = False
         mask[hi:] = False
         history = trace.quantiles[mask]
-        self.thresholds = compute_thresholds(
+        self.thresholds = percentile_thresholds(
             history, cfg.cold_percentile, cfg.hot_percentile
         )
         self.relevant = self._relevant_metrics(trace, crises)

@@ -1,10 +1,11 @@
-"""Telemetry substrate: epochs, quantile summaries, and rolling stores.
+"""Telemetry substrate: epochs, quantile summaries, and collection.
 
 This package provides the monitoring plumbing the fingerprinting method sits
 on: a 15-minute epoch timebase, exact datacenter-wide quantile computation,
 a streaming Greenwald-Khanna quantile sketch for deployments where exact
-computation is too expensive, and a rolling store of quantile history used
-to maintain hot/cold thresholds online.
+computation is too expensive, and the agents and aggregator that collect
+per-epoch summaries.  The quantile history behind online hot/cold
+thresholds lives in :class:`repro.core.engine.RollingThresholdTracker`.
 """
 
 from repro.telemetry.epochs import (
@@ -34,7 +35,6 @@ from repro.telemetry.reliability import (
     RetryPolicy,
 )
 from repro.telemetry.sketches import GKQuantileSketch
-from repro.telemetry.store import QuantileStore
 from repro.telemetry.validation import (
     ValidationIssue,
     ValidationReport,
@@ -50,7 +50,6 @@ __all__ = [
     "empirical_quantiles",
     "summarize_epoch",
     "GKQuantileSketch",
-    "QuantileStore",
     "AgentHealthTracker",
     "ChaosConfig",
     "ChaosEvent",

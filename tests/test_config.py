@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import (
-    EPOCHS_PER_DAY,
     FingerprintConfig,
     FingerprintingConfig,
     IdentificationConfig,
@@ -38,9 +37,6 @@ class TestThresholdConfig:
         assert cfg.cold_percentile == 2.0
         assert cfg.hot_percentile == 98.0
         assert cfg.window_days == 240
-
-    def test_window_epochs(self):
-        assert ThresholdConfig(window_days=2).window_epochs == 2 * EPOCHS_PER_DAY
 
     def test_rejects_inverted_percentiles(self):
         with pytest.raises(ValueError):

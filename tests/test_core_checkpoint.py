@@ -17,6 +17,7 @@ from repro.config import (
     SelectionConfig,
     ThresholdConfig,
 )
+from repro.core.atomicio import pack_header, unpack_header
 from repro.core.checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
@@ -73,6 +74,22 @@ def uninterrupted(small_trace):
     return monitor, events
 
 
+def assert_kill_restore_identical(small_trace, tmp_path, expected, split):
+    """Kill at ``split``, restore, and resume: the events must be ``==``."""
+    monitor = make_monitor(small_trace)
+    before = replay(monitor, small_trace, 0, split)
+    path = tmp_path / "monitor.npz"
+    save_monitor(monitor, path)
+
+    restored = load_monitor(path, CONFIG, RELIABILITY)
+    np.testing.assert_array_equal(restored.thresholds.cold,
+                                  monitor.thresholds.cold)
+    np.testing.assert_array_equal(restored.thresholds.hot,
+                                  monitor.thresholds.hot)
+    after = replay(restored, small_trace, split, small_trace.n_epochs)
+    assert before + after == expected
+
+
 class TestMonitorKillRestore:
     def test_resume_mid_crisis_is_bit_identical(self, small_trace, tmp_path,
                                                 uninterrupted):
@@ -81,16 +98,21 @@ class TestMonitorKillRestore:
         assert len(detections) >= 3, "fixture trace must contain crises"
         # Kill the service one epoch into the third crisis — mid-window,
         # mid-identification-protocol, with a partially-diagnosed library.
-        split = detections[2].epoch + 1
+        assert_kill_restore_identical(small_trace, tmp_path, expected,
+                                      detections[2].epoch + 1)
 
-        monitor = make_monitor(small_trace)
-        before = replay(monitor, small_trace, 0, split)
-        path = tmp_path / "monitor.npz"
-        save_monitor(monitor, path)
-
-        restored = load_monitor(path, CONFIG, RELIABILITY)
-        after = replay(restored, small_trace, split, small_trace.n_epochs)
-        assert before + after == expected
+    def test_resume_past_twice_the_window_is_bit_identical(
+        self, small_trace, tmp_path, uninterrupted
+    ):
+        """Past 2W the ring has wrapped at least twice and the archive
+        holds only the window, not the history before it."""
+        monitor, expected = uninterrupted
+        W = monitor.engine.window_epochs
+        late = [e for e in expected
+                if isinstance(e, CrisisDetected) and e.epoch > 2 * W]
+        assert late, "fixture trace must have a crisis past twice the window"
+        assert_kill_restore_identical(small_trace, tmp_path, expected,
+                                      late[0].epoch + 1)
 
     def test_restored_state_matches(self, small_trace, tmp_path,
                                     uninterrupted):
@@ -110,6 +132,51 @@ class TestMonitorKillRestore:
         assert restored.library_labels == monitor.library_labels
         assert restored.untrusted_epochs == monitor.untrusted_epochs
         assert restored._crisis_counter == monitor._crisis_counter
+
+    def test_history_is_bounded_by_the_window(self, small_trace, tmp_path,
+                                              uninterrupted):
+        monitor, _ = uninterrupted
+        W = monitor.engine.window_epochs
+        assert small_trace.n_epochs > 2 * W
+        assert len(monitor.store) == small_trace.n_epochs
+        assert monitor.store.values().shape == (W, small_trace.n_metrics,
+                                                CONFIG.quantiles.count)
+        assert monitor.store.anomalous_mask().shape == (W,)
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path)
+        with np.load(path, allow_pickle=False) as data:
+            assert data["store_values"].shape[0] == W
+            assert data["store_anomalous"].shape == (W,)
+            header = unpack_header(data)
+        assert header["store_epochs"] == small_trace.n_epochs
+
+    def test_larger_window_than_saved_is_format_error(self, tmp_path,
+                                                      uninterrupted):
+        """The archive holds one window of history: a restart configured
+        with a longer window cannot restore its thresholds faithfully."""
+        monitor, _ = uninterrupted
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path)
+        wider = FingerprintingConfig(
+            selection=CONFIG.selection,
+            thresholds=ThresholdConfig(window_days=60),
+        )
+        with pytest.raises(CheckpointFormatError, match="window"):
+            load_monitor(path, wider, RELIABILITY)
+
+    def test_store_epochs_below_row_count_is_corrupt(self, tmp_path,
+                                                     uninterrupted):
+        monitor, _ = uninterrupted
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = unpack_header(arrays)
+        header["store_epochs"] = arrays["store_values"].shape[0] - 1
+        arrays["header"] = pack_header(header)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointCorruptError):
+            load_monitor(path, CONFIG, RELIABILITY)
 
     def test_atomic_write_leaves_no_temp_files(self, small_trace, tmp_path):
         monitor = make_monitor(small_trace)

@@ -140,3 +140,9 @@ class TestMonitorValidation:
         np.testing.assert_array_equal(monitor.relevant, [3, 4, 5])
         with pytest.raises(ValueError):
             monitor.set_relevant_metrics([])
+        # Out of range either way fails here, like the constructor, not
+        # silently (-1) or at the next identification (n_metrics).
+        for bad in ([0, -1], [small_trace.n_metrics]):
+            with pytest.raises(ValueError, match="out of range"):
+                monitor.set_relevant_metrics(bad)
+        np.testing.assert_array_equal(monitor.relevant, [3, 4, 5])

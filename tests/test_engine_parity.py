@@ -65,24 +65,43 @@ def replay(monitor, trace, start, stop):
     return events
 
 
+def record_observed(monitor):
+    """Record ``(values, anomalous or quarantined)`` for every epoch the
+    monitor's engine observes, independently of the engine's own state."""
+    engine = monitor.engine
+    fed = []
+    observe = engine.observe
+
+    def recording_observe(values, anomalous, frozen=False):
+        fed.append((np.array(values, dtype=float), anomalous or frozen))
+        return observe(values, anomalous, frozen)
+
+    engine.observe = recording_observe
+    return fed
+
+
 def use_legacy_refresh(monitor):
     """Swap the engine's incremental refresh for the pre-refactor one:
-    a full percentile recompute over the store's trailing window."""
-    engine = monitor.engine
+    a full percentile recompute over the trailing window.
+
+    The oracle keeps its own record of every epoch the engine observes,
+    so it never reads the tracker's ring it is checking.
+    """
+    fed = record_observed(monitor)
 
     def legacy_refresh(self):
-        window, _ = self.store.trailing_window(
-            len(self.store), self.window_epochs
-        )
-        if window.shape[0] < 2:
+        recent = fed[-self.window_epochs:]
+        window = [v for v, anomalous in recent if not anomalous]
+        if len(window) < 2:
             return False
         cfg_t = self.config.thresholds
         self.thresholds = percentile_thresholds(
-            window, cfg_t.cold_percentile, cfg_t.hot_percentile
+            np.stack(window), cfg_t.cold_percentile, cfg_t.hot_percentile
         )
         self.version += 1
         return True
 
+    engine = monitor.engine
     engine.refresh_thresholds = types.MethodType(legacy_refresh, engine)
 
 
@@ -196,6 +215,45 @@ class TestCheckpointCompat:
 
         restored = load_monitor(legacy_path, CONFIG, RELIABILITY)
         assert restored.clock.epoch_minutes == 15
+        after = replay(restored, small_trace, split, small_trace.n_epochs)
+        assert before + after == expected
+
+    def test_full_history_checkpoint_restores_and_resumes(self, small_trace,
+                                                          tmp_path,
+                                                          engine_run):
+        """Archives written before the history was bounded hold every
+        epoch and no ``store_epochs``; they load and resume ``==``."""
+        engine_monitor, expected = engine_run
+        W = engine_monitor.engine.window_epochs
+        detections = [e for e in expected if isinstance(e, CrisisDetected)]
+        split = next(e.epoch for e in detections if e.epoch > 2 * W) + 1
+
+        monitor = make_monitor(small_trace)
+        fed = record_observed(monitor)
+        before = replay(monitor, small_trace, 0, split)
+        path = tmp_path / "new.npz"
+        save_monitor(monitor, path)
+
+        # Rewrite the archive the way a full-history version wrote it.
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = unpack_header(arrays)
+        assert header.pop("store_epochs") == split == len(fed)
+        history = np.stack([v for v, _ in fed])
+        flags = np.array([a for _, a in fed])
+        np.testing.assert_array_equal(arrays["store_values"], history[-W:])
+        np.testing.assert_array_equal(arrays["store_anomalous"], flags[-W:])
+        arrays["store_values"] = history
+        arrays["store_anomalous"] = flags
+        arrays["header"] = np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8
+        )
+        legacy_path = tmp_path / "legacy.npz"
+        np.savez(legacy_path, **arrays)
+
+        restored = load_monitor(legacy_path, CONFIG, RELIABILITY)
+        assert len(restored.store) == split
+        np.testing.assert_array_equal(restored.store.values(), history[-W:])
         after = replay(restored, small_trace, split, small_trace.n_epochs)
         assert before + after == expected
 

@@ -42,6 +42,17 @@ def _live_window(epochs, window, upto):
     return np.stack(vals)
 
 
+def _check_history(tracker, epochs, window):
+    """The ring holds the last ``window`` epochs, anomalous ones too."""
+    recent = epochs[max(0, len(epochs) - window):]
+    np.testing.assert_array_equal(
+        tracker.values(), np.stack([v for v, _ in recent])
+    )
+    np.testing.assert_array_equal(
+        tracker.anomalous_mask(), [a for _, a in recent]
+    )
+
+
 def _check_parity(tracker, win, cold_p, hot_p):
     """Tracker output (including failures) == window recompute."""
     if win.shape[0] < 2:
@@ -79,7 +90,7 @@ class TestTrackerProperties:
             win = _live_window(epochs, window, i + 1)
             assert len(tracker) == i + 1
             assert tracker.window_count == win.shape[0]
-            np.testing.assert_array_equal(tracker.window_values(), win)
+            _check_history(tracker, epochs[: i + 1], window)
             _check_parity(tracker, win, 2.0, 98.0)
 
     @given(
@@ -108,20 +119,31 @@ class TestTrackerProperties:
         primed.prime(values, anomalous)
         assert len(primed) == len(streamed)
         assert primed.window_count == streamed.window_count
-        np.testing.assert_array_equal(
-            primed.window_values(), streamed.window_values()
-        )
+        _check_history(primed, epochs, window)
+        _check_history(streamed, epochs, window)
         _check_parity(
             primed, _live_window(epochs, window, len(epochs)), 2.0, 98.0
         )
-        # Both must keep evolving identically after the bulk load.
+        # Priming from just the window the ring holds (a checkpoint's
+        # bounded history) is the same state as priming the whole history.
+        bounded = RollingThresholdTracker(M, Q, window)
+        bounded.prime(streamed.values(), streamed.anomalous_mask(),
+                      len(streamed))
+        assert len(bounded) == len(streamed)
+        assert bounded.window_count == streamed.window_count
+        _check_history(bounded, epochs, window)
+        # All must keep evolving identically after the bulk load.
         rng = np.random.default_rng(0)
-        for v in rng.normal(size=(5, M, Q)):
-            streamed.append(v)
-            primed.append(v)
-        a, b = primed.thresholds(), streamed.thresholds()
-        np.testing.assert_array_equal(a.cold, b.cold)
-        np.testing.assert_array_equal(a.hot, b.hot)
+        for v in rng.normal(size=(window + 3, M, Q)):
+            for tracker in (streamed, primed, bounded):
+                tracker.append(v)
+            if streamed.window_count < 2:
+                continue
+            a = streamed.thresholds()
+            for tracker in (primed, bounded):
+                b = tracker.thresholds()
+                np.testing.assert_array_equal(a.cold, b.cold)
+                np.testing.assert_array_equal(a.hot, b.hot)
 
 
 class TestTrackerContracts:
@@ -173,6 +195,36 @@ class TestTrackerContracts:
             tracker.append(np.array([[99.0]]), anomalous=True)
         assert tracker.window_count == 0
         assert len(tracker) == 5
+
+    def test_append_validates_shape(self):
+        """A row must be ``(n_metrics, n_quantiles)``: a transposed one has
+        the right size, and would silently scramble the series."""
+        tracker = RollingThresholdTracker(4, 3, 8)
+        for bad in (np.zeros((3, 3)), np.zeros((3, 4)), np.zeros(12)):
+            with pytest.raises(ValueError, match="expected shape"):
+                tracker.append(bad)
+        assert len(tracker) == 0
+        tracker.append(np.zeros((4, 3)))
+        assert len(tracker) == 1
+
+    def test_prime_needs_the_window(self):
+        """``prime`` takes the last rows of a longer history, but they
+        must cover the window and cannot outnumber the epochs."""
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(5, M, Q))
+        flags = np.zeros(5, dtype=bool)
+        tracker = RollingThresholdTracker(M, Q, 5)
+        tracker.prime(values, flags, epochs=40)
+        assert len(tracker) == 40
+        np.testing.assert_array_equal(tracker.values(), values)
+        with pytest.raises(ValueError, match="do not cover"):
+            RollingThresholdTracker(M, Q, 6).prime(values, flags, epochs=40)
+        with pytest.raises(ValueError, match="cannot be the last"):
+            tracker.prime(values, flags, epochs=4)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tracker.prime(values, flags[:4])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tracker.prime(values.reshape(5, M * Q, 1), flags)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError, match="window_epochs"):
