@@ -6,7 +6,17 @@ instant loses *at most* unacked work — the client's
 resend-on-reconnect (:mod:`repro.serving.loadgen`) then re-delivers it.
 
 Record framing is ``<u32 length> <u32 crc32> <payload>`` (little
-endian), payload = compact JSON carrying the record's sequence number.
+endian).  The payload's first byte says how it is encoded:
+
+* ``{`` — compact JSON of the whole record, sequence number included
+  (``close_epoch``, ``diagnose``, and every record of older journals);
+* ``0x01`` — a ``report_batch``: ``<u8 0x01> <u32 header length>``,
+  the header (compact JSON of every field except ``values``, ``seq``
+  included), then the ``len(machines) × k`` value matrix as raw
+  little-endian float64.  Both encodings round-trip a float exactly,
+  so replay hands back the same record dict either way; the binary one
+  costs a memory copy instead of a ``repr`` per value.
+
 The CRC plus length prefix makes every torn-write mode detectable on
 replay:
 
@@ -14,17 +24,22 @@ replay:
   replay stops at the last intact record and :meth:`~WriteAheadJournal.truncate_tail`
   trims the garbage;
 * a failed append (e.g. ``ENOSPC``) is rolled back by truncating the
-  file to its pre-append size, so the journal never holds a half batch.
+  file to its pre-append size, so the journal never holds a half batch;
+* a payload that passes its CRC but does not decode (unknown tag, bad
+  JSON, a header or value block of the wrong size) is
+  :class:`JournalCorruptError`.
 
-Group commit: :meth:`~WriteAheadJournal.append_many` writes a whole
-batch of records and fsyncs **once**, which is what makes the
+Group commit: :meth:`~WriteAheadJournal.append_many` encodes a whole
+batch, then writes it and fsyncs **once**, which is what makes the
 journal-per-report discipline affordable (see
 ``benchmarks/test_serving_ingest.py``).
 
 After a checkpoint the applied prefix is dead weight;
 :meth:`~WriteAheadJournal.compact` rewrites the journal atomically
 (tmp + fsync + rename + dir fsync, the :mod:`repro.core.atomicio`
-discipline) keeping only records past the checkpoint cursor.
+discipline) keeping only records past the checkpoint cursor.  The
+survivors are a byte suffix of the file, copied verbatim: compaction
+reads record headers, never re-encodes a record.
 """
 
 from __future__ import annotations
@@ -35,12 +50,19 @@ import pathlib
 import struct
 import tempfile
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.atomicio import fsync_dir
 
 #: ``<u32 length> <u32 crc32>`` record prefix.
 _PREFIX = struct.Struct("<II")
+
+#: ``<u8 tag> <u32 header length>`` opening a binary ``report_batch``.
+_BATCH_HEAD = struct.Struct("<cI")
+_BATCH_TAG = b"\x01"
+_FLOAT = np.dtype("<f8")
 
 #: Sanity cap on a single record; a length field beyond this is garbage,
 #: not a record (protects replay from allocating absurd buffers).
@@ -64,9 +86,79 @@ class JournalTornWrite(JournalError):
     """
 
 
+def _json(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def _batch_payload(record: dict) -> bytes:
+    """A ``report_batch`` as tag + JSON header + raw float64 matrix.
+
+    Raises ``ValueError`` unless ``values`` is a ``len(machines) × k``
+    matrix of floats (``k ≥ 1``).
+    """
+    machines = record.get("machines")
+    try:
+        matrix = np.asarray(record["values"], dtype=_FLOAT)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"report_batch values are not a float matrix: {exc!r}"
+        ) from exc
+    if (
+        not isinstance(machines, list)
+        or matrix.ndim != 2
+        or matrix.shape[0] != len(machines)
+        or matrix.size == 0
+    ):
+        raise ValueError(
+            f"report_batch values of shape {matrix.shape} are not a "
+            "non-empty len(machines) x k matrix"
+        )
+    head = _json({k: v for k, v in record.items() if k != "values"})
+    return _BATCH_HEAD.pack(_BATCH_TAG, len(head)) + head + matrix.tobytes()
+
+
 def _frame(record: dict) -> bytes:
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    if record.get("op") == "report_batch":
+        payload = _batch_payload(record)
+    else:
+        payload = _json(record)
     return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _decode(payload: bytes, values: bool) -> dict:
+    """One CRC-intact payload back to its record.
+
+    With ``values=False`` a binary ``report_batch`` is checked but its
+    value block is not decoded, and the record carries no ``values``.
+    Raises ``ValueError`` on a payload that does not decode.
+    """
+    if payload[:1] == b"{":
+        return json.loads(payload.decode("utf-8"))
+    if payload[:1] != _BATCH_TAG:
+        raise ValueError(f"unknown payload tag {payload[:1]!r}")
+    if len(payload) < _BATCH_HEAD.size:
+        raise ValueError("binary record shorter than its header prefix")
+    _, head_len = _BATCH_HEAD.unpack_from(payload)
+    start = _BATCH_HEAD.size + head_len
+    if start > len(payload):
+        raise ValueError("header runs past the payload")
+    record = json.loads(payload[_BATCH_HEAD.size:start].decode("utf-8"))
+    machines = record.get("machines") if isinstance(record, dict) else None
+    if not isinstance(machines, list) or not machines:
+        raise ValueError("header carries no machines")
+    block = len(payload) - start
+    if block == 0 or block % (_FLOAT.itemsize * len(machines)):
+        raise ValueError(
+            f"{block}-byte value block is not {len(machines)} rows of "
+            "float64"
+        )
+    if values:
+        record["values"] = (
+            np.frombuffer(payload, dtype=_FLOAT, offset=start)
+            .reshape(len(machines), -1)
+            .tolist()
+        )
+    return record
 
 
 class WriteAheadJournal:
@@ -107,7 +199,7 @@ class WriteAheadJournal:
         """Highest sequence number ever journaled (0 when empty)."""
         if self._last_seq is None:
             last = 0
-            for record, _ in self._scan():
+            for record, _ in self._scan(values=False):
                 last = record.get("seq", last)
             self._last_seq = last
         return self._last_seq
@@ -126,37 +218,40 @@ class WriteAheadJournal:
     def append_many(self, records: List[dict]) -> List[int]:
         """Journal a batch durably: one write span, one fsync.
 
-        Sequence numbers are assigned here (``last_seq + 1`` onward) and
-        embedded in each record before encoding.  On any failure the
-        file is truncated back to its pre-batch size — the journal never
-        exposes a half-committed batch.
+        Sequence numbers are assigned here (``last_seq + 1`` onward),
+        embedded in each encoded record, and set on the caller's dicts
+        once the batch is written.  The whole batch is encoded before
+        its first byte is written, so a record that cannot be encoded
+        (``TypeError``, or ``ValueError`` for a ``report_batch`` whose
+        values are not a matrix) leaves the file, the sequence numbering
+        and the dicts untouched.  On a write failure the file is
+        truncated back to its pre-batch size — the journal never exposes
+        a half-committed batch.
         """
         if not records:
             return []
         if self.fence_check is not None:
             self.fence_check()
+        first = self.last_seq + 1
+        seqs = list(range(first, first + len(records)))
+        frames = [
+            _frame({**record, "seq": seq})
+            for record, seq in zip(records, seqs)
+        ]
         start = self._fh.tell()
-        seqs: List[int] = []
-        next_seq = self.last_seq
-        torn = False
+        written = len(frames)
         try:
-            for record in records:
-                next_seq += 1
-                record["seq"] = next_seq
-                seqs.append(next_seq)
-                frame = _frame(record)
+            for i, frame in enumerate(frames):
                 if self.write_hook is not None:
                     replacement = self.write_hook(frame)
                     if replacement is not None:
                         # Torn write: persist the damage, then die.
                         self._fh.write(replacement)
-                        torn = True
+                        written = i
                         break
                 self._fh.write(frame)
             self._fh.flush()
             os.fsync(self._fh.fileno())
-        except JournalError:
-            raise
         except OSError:
             # Disk full (or any write error): roll the batch back so the
             # journal stays a clean sequence of intact records.  The
@@ -176,12 +271,14 @@ class WriteAheadJournal:
                 os.close(fd)
             self._fh = open(self.path, "ab")
             raise
-        if torn:
-            self._last_seq = next_seq - 1
+        for record, seq in zip(records[:written], seqs):
+            record["seq"] = seq
+        if written < len(frames):
+            self._last_seq = seqs[written] - 1
             raise JournalTornWrite(
-                f"append of seq {next_seq} was cut short mid-record"
+                f"append of seq {seqs[written]} was cut short mid-record"
             )
-        self._last_seq = next_seq
+        self._last_seq = seqs[-1]
         return seqs
 
     def append(self, record: dict) -> int:
@@ -190,13 +287,16 @@ class WriteAheadJournal:
 
     # -- read path ---------------------------------------------------------
 
-    def _scan(self) -> Iterator[Tuple[dict, int]]:
+    def _scan(self, values: bool = True) -> Iterator[Tuple[dict, int]]:
         """Yield ``(record, end_offset)`` for every intact record.
 
         Stops silently at a torn tail (short prefix, short payload, or
         CRC mismatch *at the end of the file* — the shape a crash
-        leaves); damage followed by more bytes is corruption, raised as
-        :class:`JournalCorruptError`.
+        leaves); damage followed by more bytes, and a CRC-intact
+        payload that does not decode, are corruption, raised as
+        :class:`JournalCorruptError`.  ``values=False`` leaves the value
+        block of binary records undecoded (scans that need only seqs
+        and offsets).
         """
         self._fh.flush()
         with open(self.path, "rb") as fh:
@@ -229,11 +329,11 @@ class WriteAheadJournal:
                         "not the tail"
                     )
                 try:
-                    record = json.loads(payload.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    record = _decode(payload, values)
+                except ValueError as exc:
                     raise JournalCorruptError(
-                        f"record at offset {offset} passed CRC but is not "
-                        f"JSON: {exc}"
+                        f"record at offset {offset} passed CRC but does "
+                        f"not decode: {exc}"
                     ) from exc
                 offset = tail_end
                 yield record, offset
@@ -249,7 +349,7 @@ class WriteAheadJournal:
     def valid_size(self) -> int:
         """Byte length of the intact record prefix of the file."""
         end = 0
-        for _, end in self._scan():
+        for _, end in self._scan(values=False):
             pass
         return end
 
@@ -268,19 +368,28 @@ class WriteAheadJournal:
     def compact(self, applied_seq: int) -> int:
         """Drop records with ``seq <= applied_seq``; returns records kept.
 
-        The rewrite is atomic (tmp + fsync + rename + dir fsync): a
-        crash mid-compaction leaves the full journal, never a torn one.
-        Called after a successful checkpoint, whose cursor makes the
-        applied prefix redundant.
+        Seqs only grow along the file, so the survivors are the byte
+        range from the first record past ``applied_seq`` to the end of
+        the intact prefix; it is copied verbatim (a torn tail is left
+        behind).  The rewrite is atomic (tmp + fsync + rename + dir
+        fsync): a crash mid-compaction leaves the full journal, never a
+        torn one.  Called after a successful checkpoint, whose cursor
+        makes the applied prefix redundant.
         """
-        survivors = self.replay(after_seq=applied_seq)
+        cut = end = kept = 0
+        for record, end in self._scan(values=False):
+            if not kept and record.get("seq", 0) <= applied_seq:
+                cut = end
+            else:
+                kept += 1
         fd, tmp = tempfile.mkstemp(
             dir=self.path.parent, suffix=".wal.tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                for record in survivors:
-                    fh.write(_frame(record))
+                with open(self.path, "rb") as src:
+                    src.seek(cut)
+                    fh.write(src.read(end - cut))
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()
@@ -295,7 +404,7 @@ class WriteAheadJournal:
         finally:
             if self._fh.closed:
                 self._fh = open(self.path, "ab")
-        return len(survivors)
+        return kept
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -194,6 +194,7 @@ class ServingClient:
                 sock = socket.create_connection(
                     (host, port), timeout=self.timeout
                 )
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.settimeout(self.timeout)
                 self._sock = sock
                 self._buffer = b""

@@ -545,6 +545,7 @@ class StandbyReplicator:
     def _run_subscription(self, endpoint: Tuple[str, int]) -> None:
         cfg = self.server.cfg
         sock = socket.create_connection(endpoint, timeout=5.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         try:
             sock.sendall(wire.encode_frame({

@@ -141,6 +141,10 @@ class IngestServer:
                 continue
             except OSError:
                 break
+            # Acks are small writes answering pipelined frames one by
+            # one; with Nagle on, each ack after the first in a window
+            # waits for the client's delayed ACK of the previous one.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             thread = threading.Thread(
                 target=self._serve_connection,
                 args=(conn, addr),

@@ -219,6 +219,13 @@ class TenantRuntime:
         if self.fault_hook is not None:
             self.fault_hook(record)
         status = self.classify(record)
+        seq = record.get("seq")
+        if seq is not None:
+            # Advance the cursor first, so a cadence checkpoint inside
+            # the close covers the close that triggered it.  An apply
+            # that raises takes the runtime down with it; recovery
+            # re-reads the cursor from disk.
+            self.applied_seq = max(self.applied_seq, seq)
         events: List[dict] = []
         if status == APPLIED:
             kind = record["op"]
@@ -228,9 +235,6 @@ class TenantRuntime:
                 events = self._apply_close(record)
             else:
                 self.monitor.diagnose(record["crisis"], record["label"])
-        seq = record.get("seq")
-        if seq is not None:
-            self.applied_seq = max(self.applied_seq, seq)
         return status, events
 
     def _apply_report_batch(self, record: dict) -> None:

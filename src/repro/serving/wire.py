@@ -285,8 +285,9 @@ def parse_request(obj: Dict[str, Any]) -> Dict[str, Any]:
             "tenant": tenant,
             "epoch": epoch,
             "machines": list(machines),
-            # float64 round-trips bit-identically through repr-based
-            # JSON, so journaling the canonicalized lists is lossless.
+            # Canonical float lists: the journal stores them as raw
+            # float64 and the replication stream as repr-based JSON,
+            # and both round-trip a float64 bit for bit.
             "values": matrix.tolist(),
             "violations": list(violations),
         }, "report_batch")

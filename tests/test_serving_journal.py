@@ -3,14 +3,20 @@
 Satellite coverage for the corrupt-file robustness requirement: every
 damage mode either stops replay at the last valid record (the torn-tail
 crash signature) or raises a *typed* error — never a raw
-``struct.error``/``KeyError``.
+``struct.error``/``KeyError``.  Both payload encodings are covered: the
+binary ``report_batch`` record and JSON for everything else (and for
+every record of older journals).
 """
 
 import errno
+import json
 import os
 import pathlib
+import struct
 import tempfile
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +31,48 @@ from repro.serving.journal import (
 
 def rec(i, **extra):
     return {"op": "report", "tenant": "t", "machine": f"m{i}", **extra}
+
+
+def batch(i, rows=2, cols=3):
+    """A ``report_batch`` record: journaled as a binary payload."""
+    values = np.random.default_rng(i).normal(size=(rows, cols))
+    return {
+        "op": "report_batch", "tenant": "t", "epoch": i,
+        "machines": [f"m{i}-{r}" for r in range(rows)],
+        "values": values.tolist(),
+        "violations": [r % 2 == 1 for r in range(rows)],
+    }
+
+
+def frame(payload):
+    """``<u32 length> <u32 crc32> <payload>``: a CRC-valid record."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def json_frame(record):
+    """A record framed the way every record was before binary batches."""
+    return frame(json.dumps(record, separators=(",", ":")).encode("utf-8"))
+
+
+def binary(header, block=b"", tag=b"\x01"):
+    """A binary payload: tag, header length, header, value block."""
+    return tag + struct.pack("<I", len(header)) + header + block
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+#: Values JSON and raw float64 must both carry bit for bit.
+SPECIAL = [
+    -0.0, 0.0, float("inf"), float("-inf"), float("nan"),
+    5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+]
+#: NaNs with a sign bit and a payload: only the raw encoding keeps them.
+ODD_NANS = np.array(
+    [0xFFF8000000000000, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64).tolist()
 
 
 class TestAppendReplay:
@@ -51,13 +99,66 @@ class TestAppendReplay:
             assert j.append(rec(2)) == 3
 
     def test_payload_floats_survive_bitwise(self, tmp_path):
-        import numpy as np
-
         values = [float(v) for v in np.random.default_rng(1).normal(size=8)]
+        values += SPECIAL
+        matrix = [values + ODD_NANS, values[::-1] + ODD_NANS[::-1]]
+        record = {**batch(0, rows=2), "values": matrix}
         with WriteAheadJournal(tmp_path / "j.wal") as j:
-            j.append({"values": values})
-            got = j.replay()[0]["values"]
-        assert got == values
+            j.append_many([{"values": values}, record])
+            plain, raw = j.replay()
+        np.testing.assert_array_equal(bits(plain["values"]), bits(values))
+        np.testing.assert_array_equal(bits(raw["values"]), bits(matrix))
+        assert all(type(v) is float for row in raw["values"] for v in row)
+
+    def test_report_batch_replays_the_record_it_appended(self, tmp_path):
+        records = [batch(0), {"op": "close_epoch", "epoch": 0}, batch(1)]
+        with WriteAheadJournal(tmp_path / "j.wal") as j:
+            assert j.append_many([dict(r) for r in records]) == [1, 2, 3]
+            got = j.replay()
+        assert got == [
+            {**r, "seq": seq} for seq, r in enumerate(records, start=1)
+        ]
+        blob = j.path.read_bytes()
+        # Only the batch records are binary: the close stays JSON.
+        assert blob[8:9] == b"\x01"
+        assert b'{"op":"close_epoch","epoch":0,"seq":2}' in blob
+
+
+class TestEncodeBeforeWrite:
+    """A batch that cannot be encoded leaves no trace at all."""
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"op": "diagnose", "x": object()}, TypeError),
+        ({**batch(1), "values": [[1.0, 2.0], [3.0]]}, ValueError),
+        ({**batch(1), "values": [[1.0, 2.0, 3.0]]}, ValueError),
+        ({**batch(1), "values": [[], []]}, ValueError),
+        ({**batch(1), "values": [["a", 1.0, 2.0], [1.0, 2.0, 3.0]]},
+         ValueError),
+        ({**batch(1), "values": [[[1.0]], [[2.0]]]}, ValueError),
+        ({**batch(1), "machines": [], "values": []}, ValueError),
+        ({k: v for k, v in batch(1).items() if k != "values"}, ValueError),
+    ], ids=[
+        "not-json", "ragged", "rows-not-machines", "empty-rows",
+        "string-value", "three-dim", "no-machines", "no-values",
+    ])
+    def test_encoding_error_raises_before_a_byte_is_written(
+        self, tmp_path, bad, error
+    ):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append({"op": "close_epoch", "epoch": 0})
+            size = path.stat().st_size
+            records = [{"op": "close_epoch", "epoch": 1}, bad]
+            with pytest.raises(error):
+                j.append_many(records)
+            assert path.stat().st_size == size
+            assert "seq" not in records[0] and "seq" not in bad
+            assert j.last_seq == 1
+            # Nothing of the failed batch is left in the write buffer
+            # to surface under a reused seq with the next append.
+            assert j.append({"op": "close_epoch", "epoch": 1}) == 2
+            assert [r["seq"] for r in j.replay()] == [1, 2]
+            assert j.replay()[1]["epoch"] == 1
 
 
 class TestTornTail:
@@ -111,6 +212,42 @@ class TestTornTail:
         with WriteAheadJournal(path) as j:
             with pytest.raises(JournalCorruptError):
                 j.replay()
+
+    @pytest.mark.parametrize("payload", [
+        binary(b'{"machines":["a"]}', bytes(8), tag=b"\x02"),
+        b"\x01\x05\x00",
+        binary(b'{"machines":["a"]}')[:-3],
+        binary(b"notjs", bytes(8)),
+        binary(b"[]", bytes(8)),
+        binary(b'{"machines":[]}', bytes(8)),
+        binary(b'{"machines":["a","b"]}', bytes(24)),
+        binary(b'{"machines":["a","b"]}'),
+        b"",
+        b"[1]",
+    ], ids=[
+        "unknown-tag", "short-prefix", "header-past-payload",
+        "header-not-json", "header-not-object", "no-machines",
+        "block-not-rows-of-float64", "empty-block", "empty", "json-list",
+    ])
+    @pytest.mark.parametrize("at_tail", [True, False])
+    def test_crc_valid_undecodable_payload_is_typed(
+        self, tmp_path, payload, at_tail
+    ):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append_many([batch(0), rec(1)])
+        with open(path, "ab") as fh:
+            fh.write(frame(payload))
+            if not at_tail:
+                fh.write(json_frame({**rec(2), "seq": 3}))
+        with WriteAheadJournal(path) as j:
+            for scan in (j.replay, j.valid_size, j.truncate_tail):
+                with pytest.raises(JournalCorruptError):
+                    scan()
+            with pytest.raises(JournalCorruptError):
+                j.last_seq
+            with pytest.raises(JournalCorruptError):
+                j.compact(applied_seq=1)
 
     def test_garbage_file_is_typed(self, tmp_path):
         path = tmp_path / "j.wal"
@@ -249,6 +386,36 @@ class TestCompaction:
             assert j.replay() == []
             assert j.append(rec(2)) == 3
 
+    @pytest.mark.parametrize("floor", [0, 1, 2, 4, 5, 6, 9])
+    def test_survivors_keep_their_bytes(self, tmp_path, floor):
+        path = tmp_path / "j.wal"
+        offsets = [0]
+        with WriteAheadJournal(path) as j:
+            for i in range(6):
+                j.append(batch(i) if i % 3 else rec(i))
+                offsets.append(path.stat().st_size)
+            before = path.read_bytes()
+            kept = j.compact(applied_seq=floor)
+            assert kept == max(0, 6 - floor)
+            assert path.read_bytes() == before[offsets[min(floor, 6)]:]
+            assert [r["seq"] for r in j.replay()] == list(
+                range(floor + 1, 7)
+            )
+            assert j.append(batch(9)) == 7
+
+    def test_compaction_leaves_a_torn_tail_behind(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append(batch(0))
+            first = path.stat().st_size
+            j.append_many([batch(1), rec(2)])
+        intact = path.read_bytes()
+        with open(path, "ab") as fh:
+            fh.write(frame(b"\x01" + bytes(40))[:-7])
+        with WriteAheadJournal(path) as j:
+            assert j.compact(applied_seq=1) == 2
+        assert path.read_bytes() == intact[first:]
+
     def test_compact_is_atomic_no_tmp_left(self, tmp_path):
         with WriteAheadJournal(tmp_path / "j.wal") as j:
             j.append_many([rec(i) for i in range(4)])
@@ -272,9 +439,13 @@ class TestFuzzedDamage:
 
     @staticmethod
     def _pristine(tmp, n):
+        """``n`` records alternating binary batches and JSON records."""
         path = tmp / "src.wal"
         with WriteAheadJournal(path) as j:
-            j.append_many([rec(i) for i in range(n)])
+            j.append_many([
+                batch(i, rows=1 + i % 3) if i % 2 == 0 else rec(i)
+                for i in range(n)
+            ])
             original = j.replay()
         return path.read_bytes(), original
 

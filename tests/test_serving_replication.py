@@ -251,6 +251,20 @@ class TestConvergence:
         assert tenant_state(stby, "tenant-0") == want
 
 
+class TestNoDelay:
+    def test_replication_link_disables_nagle_on_both_ends(self, fleet):
+        prim = fleet("prim")
+        stby = fleet("stby", standby_of=[(LOCAL, prim.port)])
+        deadline = time.monotonic() + 10.0
+        while not (stby.replicator.connected and prim.hub._subs):
+            assert time.monotonic() < deadline, "standby never subscribed"
+            time.sleep(0.02)
+        nodelay = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert stby.replicator._sock.getsockopt(*nodelay)
+        # The hub pushes frames and heartbeats down the accepted socket.
+        assert prim.hub._subs[0].conn.getsockopt(*nodelay)
+
+
 class TestHeartbeats:
     def test_idle_subscription_survives_slow_loris_window(self, fleet):
         """Heartbeats keep a quiet-but-alive link from being dropped."""

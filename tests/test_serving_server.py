@@ -263,6 +263,38 @@ class TestOneParsePerFrame:
         assert ops == [f["op"] for f in first + second]
 
 
+class _NoDelayProbe(IngestServer):
+    """Records ``TCP_NODELAY`` on each connection as it is served."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nodelay = []
+
+    def _serve_connection(self, conn, addr):
+        self.nodelay.append(
+            conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        super()._serve_connection(conn, addr)
+
+
+class TestNoDelay:
+    def test_both_ends_of_a_serving_connection_disable_nagle(
+        self, tmp_path
+    ):
+        srv = _NoDelayProbe(small_cfg(), tmp_path)
+        srv.start()
+        try:
+            for _ in range(2):
+                with ServingClient("127.0.0.1", srv.port) as client:
+                    assert client.request({"op": "ping"})["ok"]
+                    assert client._sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+            assert len(srv.nodelay) == 2 and all(srv.nodelay)
+        finally:
+            srv.close()
+
+
 class TestSlowLoris:
     def test_stalled_partial_frame_is_dropped(self, server):
         srv = server(idle_timeout_s=0.2)

@@ -1,10 +1,12 @@
 """Tenant runtime: epoch-addressed idempotency, checkpoint + replay."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.config import ServingConfig
-from repro.core.checkpoint import CheckpointCorruptError
+from repro.core.checkpoint import CheckpointCorruptError, read_checkpoint_extra
 from repro.serving.journal import WriteAheadJournal
 from repro.serving.loadgen import synthetic_batch, synthetic_report
 from repro.serving.supervisor import RUNNING, TenantSupervisor
@@ -17,6 +19,16 @@ from repro.serving.tenant import (
     UNKNOWN_CRISIS,
 )
 from repro.serving.wire import report_as_batch
+from tests.test_serving_journal import json_frame
+
+
+def record_offsets(blob):
+    """Start offset of every ``<u32 len><u32 crc32>``-framed record."""
+    offsets, at = [], 0
+    while at < len(blob):
+        offsets.append(at)
+        at += 8 + struct.unpack_from("<I", blob, at)[0]
+    return offsets
 
 
 def small_cfg(**over):
@@ -110,6 +122,36 @@ class TestEpochClose:
         assert rt.epochs_since_checkpoint == 0
         # Journal was compacted down to the unapplied suffix (empty).
         assert rt.journal.replay(after_seq=rt.applied_seq) == []
+
+    def test_cadence_checkpoint_covers_the_close_that_triggered_it(
+        self, tmp_path
+    ):
+        rt = TenantRuntime("t", small_cfg(checkpoint_every_epochs=2),
+                           tmp_path)
+        drive(rt, 2)
+        extra = read_checkpoint_extra(rt.checkpoint_path)
+        assert extra["applied_seq"] == rt.applied_seq == rt.journal.last_seq
+        assert rt.journal.replay() == []
+
+    def test_pinned_compaction_keeps_survivor_bytes(self, tmp_path):
+        """A replication pin below ``applied_seq`` keeps the journal
+        suffix past the pin byte for byte."""
+        pin = 4
+        rt = TenantRuntime(
+            "t", small_cfg(checkpoint_every_epochs=100), tmp_path,
+            retention_floor=lambda: pin,
+        )
+        drive(rt, 2)
+        before = rt.journal.path.read_bytes()
+        rt.checkpoint()
+        extra = read_checkpoint_extra(rt.checkpoint_path)
+        assert (extra["applied_seq"], extra["compacted_through"]) == (12, pin)
+        assert rt.journal.path.read_bytes() == before[
+            record_offsets(before)[pin]:
+        ]
+        assert [r["seq"] for r in rt.journal.replay()] == list(
+            range(pin + 1, 13)
+        )
 
     def test_event_log_is_bounded(self, tmp_path):
         rt = TenantRuntime("t", small_cfg(event_log_retain=3), tmp_path)
@@ -401,3 +443,66 @@ class TestPreBatchJournals:
         assert sup.dispatch("tenant-0", report(4))[0] == APPLIED
         sup.close()
         ref.close()
+
+
+# -- journals written before report_batch records became binary -------------
+
+
+def batch_traffic(epochs, diagnose_after=None):
+    """``tenant-0`` five-machine batches and closes for ``epochs``, with
+    a ``diagnose`` of crisis 1 (detected at epoch 8) after
+    ``diagnose_after``'s close."""
+    out = []
+    for epoch in epochs:
+        out.append(synthetic_batch(7, 0, epoch, range(5), 4, CRISES))
+        out.append({"op": "close_epoch", "tenant": "tenant-0", "epoch": epoch})
+        if epoch == diagnose_after:
+            out.append({
+                "op": "diagnose", "tenant": "tenant-0", "crisis": 1,
+                "label": "overload",
+            })
+    return out
+
+
+class TestJsonJournals:
+    def test_json_journal_recovers_like_the_binary_one(self, tmp_path):
+        cfg = small_cfg(checkpoint_every_epochs=5)
+        records = batch_traffic(range(14), diagnose_after=10)
+        # The older writer's format: every record compact JSON with its
+        # seq, framed <u32 len><u32 crc32>.
+        frames = [
+            json_frame({**r, "seq": seq})
+            for seq, r in enumerate(records, start=1)
+        ]
+        old = tmp_path / "old" / "tenants" / "tenant-0" / "journal.wal"
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"".join(frames))
+        new = WriteAheadJournal(tmp_path / "new" / "tenants" / "tenant-0"
+                                / "journal.wal")
+        new.append_many([dict(r) for r in records])
+        new.close()
+
+        got = TenantRuntime.recover("tenant-0", cfg, tmp_path / "old")
+        want = TenantRuntime.recover("tenant-0", cfg, tmp_path / "new")
+        assert got.state()["library_labels"] == ["overload"]
+        assert_same_state(got, want)
+        # Replay checkpointed at the closes of epochs 4 and 9; the JSON
+        # records past the last one survived compaction byte for byte.
+        closes = [
+            i for i, r in enumerate(records, start=1)
+            if r["op"] == "close_epoch" and r["epoch"] == 9
+        ]
+        assert got.compacted_through == closes[0]
+        assert old.read_bytes() == b"".join(frames[closes[0]:])
+
+        # New appends land binary after the JSON survivors, and the mixed
+        # journal recovers the same state again.
+        more = batch_traffic([14, 15])
+        for rt in (got, want):
+            rt.journal.append_many([dict(r) for r in more])
+            rt.close()
+        got = TenantRuntime.recover("tenant-0", cfg, tmp_path / "old")
+        want = TenantRuntime.recover("tenant-0", cfg, tmp_path / "new")
+        assert_same_state(got, want)
+        got.close()
+        want.close()
