@@ -112,32 +112,31 @@ def save_monitor(
         "n_pre_buffer": len(monitor._pre_buffer),
         "index_slots": sorted(monitor._index_cache),
     }
+    # Opt-in discovery state rides inside the monitor archive so monitor
+    # + engine stay one atomic snapshot.  Checkpoints written without an
+    # engine (including every pre-discovery archive) omit the key.
+    embedded: Dict[str, np.ndarray] = {}
+    if monitor._discovery is not None:
+        header["discovery"], disc_arrays = monitor._discovery.snapshot(
+            prefix="discovery_"
+        )
+        embedded.update(disc_arrays)
+    # Forecast state follows the same embedding contract: absent key for
+    # every checkpoint written without an engine (pre-forecast archives
+    # load unchanged), atomic with the monitor otherwise.
+    if monitor._forecast is not None:
+        header["forecast"], fc_arrays = monitor._forecast.snapshot(
+            prefix="forecast_"
+        )
+        embedded.update(fc_arrays)
+    # The header is complete now; encode it once.
     arrays: Dict[str, np.ndarray] = {
         "header": _pack_header(header),
         "relevant": np.asarray(monitor.relevant, dtype=int),
         "store_values": monitor.store.values(),
         "store_anomalous": monitor.store.anomalous_mask(),
+        **embedded,
     }
-    # Opt-in discovery state rides inside the monitor archive so monitor
-    # + engine stay one atomic snapshot.  Checkpoints written without an
-    # engine (including every pre-discovery archive) omit the key.
-    if monitor._discovery is not None:
-        disc_header, disc_arrays = monitor._discovery.snapshot(
-            prefix="discovery_"
-        )
-        header["discovery"] = disc_header
-        arrays["header"] = _pack_header(header)
-        arrays.update(disc_arrays)
-    # Forecast state follows the same embedding contract: absent key for
-    # every checkpoint written without an engine (pre-forecast archives
-    # load unchanged), atomic with the monitor otherwise.
-    if monitor._forecast is not None:
-        fc_header, fc_arrays = monitor._forecast.snapshot(
-            prefix="forecast_"
-        )
-        header["forecast"] = fc_header
-        arrays["header"] = _pack_header(header)
-        arrays.update(fc_arrays)
     # Identification indexes are derived state, but re-deriving them means
     # re-fingerprinting the whole library per protocol slot — snapshot them
     # so a restored monitor resumes with warm indexes.

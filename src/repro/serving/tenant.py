@@ -369,12 +369,21 @@ class TenantRuntime:
         :class:`~repro.core.checkpoint.CheckpointCorruptError` (typed,
         never a raw ``KeyError``) — the supervisor surfaces it and
         quarantines the tenant rather than crashing the service.
+
+        A ``kill -9`` between a write's ``mkstemp`` and its rename
+        leaves the temp file of a checkpoint (``tmp*.tmp``) or of a
+        journal compaction (``tmp*.wal.tmp``) behind, a whole copy of
+        either; recovery deletes them first.  One process owns a tenant
+        directory and recovery runs before any write, so every such file
+        is an orphan.
         """
         runtime = cls(
             tenant, cfg, root,
             journal_hook=journal_hook, fault_hook=fault_hook,
             fence_check=fence_check, retention_floor=retention_floor,
         )
+        for orphan in runtime.dir.glob("tmp*.tmp"):
+            orphan.unlink(missing_ok=True)
         if runtime.checkpoint_path.exists():
             runtime.monitor = ckpt.load_monitor(
                 runtime.checkpoint_path,

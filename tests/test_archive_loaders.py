@@ -8,10 +8,16 @@ either returns (the damage missed everything it reads) or raises a
 :class:`~repro.core.atomicio.CheckpointError` — never a raw
 ``zipfile``/``zlib``/numpy error, so callers such as a tenant seeded
 from ``--forecast-model`` can tell "damaged file" from a bug.
+
+The writer stores members uncompressed; archives written before that
+were deflated and must keep loading, so the fuzz damages both forms,
+and the loaders (replay pipeline included) must load a deflated
+archive to the same state as a stored one.
 """
 
 import io
 import os
+import struct
 import zipfile
 
 import numpy as np
@@ -19,9 +25,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.config import DiscoveryConfig, ForecastConfig
+from repro.config import (
+    DiscoveryConfig,
+    FingerprintingConfig,
+    ForecastConfig,
+    SelectionConfig,
+    ThresholdConfig,
+)
 from repro.core.atomicio import CheckpointCorruptError, CheckpointError
-from repro.core.checkpoint import load_monitor, save_monitor
+from repro.core.checkpoint import (
+    load_monitor,
+    load_pipeline,
+    save_monitor,
+    save_pipeline,
+)
+from repro.core.pipeline import FingerprintPipeline
 from repro.core.streaming import StreamingCrisisMonitor
 from repro.datacenter.sla import KPIDefinition, SLAPolicy
 from repro.datacenter.trace import DatacenterTrace
@@ -73,26 +91,65 @@ def _trace():
     )
 
 
-#: kind -> (write a small archive to a path, load one)
+PIPELINE_CONFIG = FingerprintingConfig(
+    selection=SelectionConfig(n_relevant=20),
+    thresholds=ThresholdConfig(window_days=30),
+)
+
+
+def _pipeline(trace):
+    pipe = FingerprintPipeline(trace, PIPELINE_CONFIG)
+    for crisis in trace.detected_crises[:3]:
+        pipe.observe(crisis)
+        pipe.refresh(crisis.detected_epoch)
+        pipe.confirm(crisis)
+    pipe.update_identification_threshold()
+    return pipe
+
+
+#: kind -> (build a small object, save it to a path, load a path)
 KINDS = {
-    "monitor": (lambda p: save_monitor(_monitor(), p), load_monitor),
-    "forecast": (lambda p: save_forecast(_monitor().forecast, p),
-                 load_forecast),
-    "discovery": (lambda p: save_discovery(_discovery(), p), load_discovery),
-    "index": (lambda p: save_index(_index(), p), load_index),
-    "trace": (lambda p: save_trace(_trace(), p), load_trace),
+    "monitor": (_monitor, save_monitor, load_monitor),
+    "forecast": (lambda: _monitor().forecast, save_forecast, load_forecast),
+    "discovery": (_discovery, save_discovery, load_discovery),
+    "index": (_index, save_index, load_index),
+    "trace": (_trace, save_trace, load_trace),
 }
+
+
+def write_deflated(save, *args):
+    """Run ``save`` with the writer every archive had before members
+    were stored: ``np.savez_compressed`` in place of ``np.savez``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "savez", np.savez_compressed)
+        save(*args)
+
+
+def compress_types(path) -> set:
+    with zipfile.ZipFile(path) as zf:
+        return {info.compress_type for info in zf.infolist()}
+
+
+def member_bytes(path) -> list:
+    """Each member's name and uncompressed bytes, in archive order."""
+    with zipfile.ZipFile(path) as zf:
+        return [(info.filename, zf.read(info)) for info in zf.infolist()]
 
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """Each kind's intact archive, checked to load."""
+    """Each kind's intact archive, stored and deflated, checked to load."""
     root = tmp_path_factory.mktemp("archives")
     out = {}
-    for kind, (save, load) in KINDS.items():
-        out[kind] = root / f"{kind}.npz"
-        save(out[kind])
-        load(out[kind])
+    for kind, (build, save, load) in KINDS.items():
+        out[kind] = {
+            "stored": root / f"{kind}.npz",
+            "deflated": root / f"{kind}-deflated.npz",
+        }
+        save(build(), out[kind]["stored"])
+        write_deflated(save, build(), out[kind]["deflated"])
+        for path in out[kind].values():
+            load(path)
     return out
 
 
@@ -109,20 +166,104 @@ def _damage(data: bytes, how: str, at: float, width: int) -> bytes:
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @given(
+    encoding=st.sampled_from(["stored", "deflated"]),
     how=st.sampled_from(["truncate", "flip", "zero"]),
     at=st.floats(min_value=0.0, max_value=0.999),
     width=st.integers(min_value=1, max_value=16),
 )
-@example(how="truncate", at=0.5, width=1)
-@example(how="zero", at=0.0, width=16)
+@example(encoding="stored", how="truncate", at=0.5, width=1)
+@example(encoding="stored", how="zero", at=0.0, width=16)
+@example(encoding="deflated", how="truncate", at=0.5, width=1)
+@example(encoding="deflated", how="zero", at=0.0, width=16)
 @settings(max_examples=60, deadline=None)
-def test_damaged_archive_loads_or_raises_typed(pristine, kind, how, at, width):
-    path = pristine[kind].with_name(f"damaged-{kind}.npz")
-    path.write_bytes(_damage(pristine[kind].read_bytes(), how, at, width))
+def test_damaged_archive_loads_or_raises_typed(
+    pristine, kind, encoding, how, at, width
+):
+    source = pristine[kind][encoding]
+    path = source.with_name(f"damaged-{kind}.npz")
+    path.write_bytes(_damage(source.read_bytes(), how, at, width))
     try:
-        KINDS[kind][1](path)
+        KINDS[kind][2](path)
     except CheckpointError:
         pass
+
+
+def member_data_spans(blob: bytes):
+    """``(start, end)`` of every member's data bytes in a zip archive."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        infos = zf.infolist()
+    spans = []
+    for info in infos:
+        # A local file header is 30 fixed bytes, then the name and the
+        # extra field, whose lengths sit at offsets 26 and 28.
+        name_len, extra_len = struct.unpack_from(
+            "<HH", blob, info.header_offset + 26
+        )
+        start = info.header_offset + 30 + name_len + extra_len
+        spans.append((start, start + info.compress_size))
+    return spans
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@given(
+    member=st.integers(min_value=0, max_value=10_000),
+    at=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(member=0, at=0.0)
+@example(member=1, at=0.0)
+@example(member=0, at=0.9999)
+@settings(max_examples=40, deadline=None)
+def test_flipped_member_byte_is_corrupt(pristine, kind, member, at):
+    # A stored member has no deflate stream to break, so the zip CRC-32
+    # (or the .npy header parse) is what must catch a flipped byte.
+    source = pristine[kind]["stored"]
+    blob = bytearray(source.read_bytes())
+    spans = member_data_spans(bytes(blob))
+    start, end = spans[member % len(spans)]
+    blob[start + int(at * (end - start))] ^= 0xFF
+    path = source.with_name(f"flipped-{kind}.npz")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointCorruptError):
+        KINDS[kind][2](path)
+
+
+@pytest.fixture(scope="module")
+def all_kinds(small_trace):
+    """KINDS plus the replay pipeline, which saves and loads against a
+    trace."""
+    return {
+        **KINDS,
+        "pipeline": (
+            lambda: _pipeline(small_trace),
+            save_pipeline,
+            lambda p: load_pipeline(p, small_trace, PIPELINE_CONFIG),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted([*KINDS, "pipeline"]))
+def test_writer_stores_every_member(tmp_path, all_kinds, kind):
+    build, save, load = all_kinds[kind]
+    path = tmp_path / f"{kind}.npz"
+    save(build(), path)
+    assert compress_types(path) == {zipfile.ZIP_STORED}
+    load(path)
+
+
+@pytest.mark.parametrize("kind", sorted([*KINDS, "pipeline"]))
+def test_deflated_archive_loads_equal(tmp_path, all_kinds, kind):
+    build, save, load = all_kinds[kind]
+    stored, deflated = tmp_path / "stored.npz", tmp_path / "deflated.npz"
+    save(build(), stored)
+    write_deflated(save, build(), deflated)
+    assert compress_types(deflated) == {zipfile.ZIP_DEFLATED}
+    assert member_bytes(deflated) == member_bytes(stored)
+    # What each form loads to, written back, is the same archive.
+    for path in (stored, deflated):
+        save(load(path), tmp_path / f"resaved-{path.name}")
+    assert member_bytes(tmp_path / "resaved-deflated.npz") == member_bytes(
+        tmp_path / "resaved-stored.npz"
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -130,11 +271,11 @@ def test_non_archive_is_corrupt(tmp_path, kind):
     path = tmp_path / "not.npz"
     path.write_bytes(b"this is not an npz archive at all")
     with pytest.raises(CheckpointCorruptError):
-        KINDS[kind][1](path)
+        KINDS[kind][2](path)
     with open(path, "wb") as fh:
         np.save(fh, np.zeros(3))  # a bare .npy array, not an archive
     with pytest.raises(CheckpointCorruptError):
-        KINDS[kind][1](path)
+        KINDS[kind][2](path)
 
 
 def test_member_that_is_not_an_array_is_corrupt(tmp_path):

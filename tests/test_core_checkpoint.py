@@ -6,17 +6,22 @@ detections, same identification labels and distances, same crisis ends —
 as a run that was never interrupted.
 """
 
+import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.config import (
+    DiscoveryConfig,
     FingerprintingConfig,
+    ForecastConfig,
     ReliabilityConfig,
     SelectionConfig,
     ThresholdConfig,
 )
+from repro.core import checkpoint
 from repro.core.atomicio import pack_header, unpack_header
 from repro.core.checkpoint import (
     CheckpointCorruptError,
@@ -34,6 +39,9 @@ from repro.core.streaming import (
     CrisisEnded,
     StreamingCrisisMonitor,
 )
+from repro.discovery import DiscoveryEngine
+from repro.forecast import ForecastEngine
+from tests.test_archive_loaders import compress_types, write_deflated
 
 CONFIG = FingerprintingConfig(
     selection=SelectionConfig(n_relevant=20),
@@ -74,12 +82,21 @@ def uninterrupted(small_trace):
     return monitor, events
 
 
-def assert_kill_restore_identical(small_trace, tmp_path, expected, split):
-    """Kill at ``split``, restore, and resume: the events must be ``==``."""
+def assert_kill_restore_identical(small_trace, tmp_path, expected, split,
+                                  deflated=False):
+    """Kill at ``split``, restore, and resume: the events must be ``==``.
+
+    ``deflated`` writes the checkpoint as archives were written before
+    members were stored.
+    """
     monitor = make_monitor(small_trace)
     before = replay(monitor, small_trace, 0, split)
     path = tmp_path / "monitor.npz"
-    save_monitor(monitor, path)
+    if deflated:
+        write_deflated(save_monitor, monitor, path)
+        assert compress_types(path) == {zipfile.ZIP_DEFLATED}
+    else:
+        save_monitor(monitor, path)
 
     restored = load_monitor(path, CONFIG, RELIABILITY)
     np.testing.assert_array_equal(restored.thresholds.cold,
@@ -100,6 +117,14 @@ class TestMonitorKillRestore:
         # mid-identification-protocol, with a partially-diagnosed library.
         assert_kill_restore_identical(small_trace, tmp_path, expected,
                                       detections[2].epoch + 1)
+
+    def test_deflated_checkpoint_resumes_bit_identical(
+        self, small_trace, tmp_path, uninterrupted
+    ):
+        _, expected = uninterrupted
+        detections = [e for e in expected if isinstance(e, CrisisDetected)]
+        assert_kill_restore_identical(small_trace, tmp_path, expected,
+                                      detections[2].epoch + 1, deflated=True)
 
     def test_resume_past_twice_the_window_is_bit_identical(
         self, small_trace, tmp_path, uninterrupted
@@ -193,6 +218,43 @@ class TestMonitorKillRestore:
         save_pipeline(pipe, path)
         with pytest.raises(ValueError):
             load_monitor(path, CONFIG, RELIABILITY)
+
+
+#: A monitor header's keys in the order they are written, discovery and
+#: forecast last: the encoded bytes depend on it.
+MONITOR_HEADER_KEYS = [
+    "format_version", "kind", "extra", "n_metrics", "n_quantiles",
+    "store_epochs", "epoch_minutes", "threshold_refresh_epochs",
+    "min_history_epochs", "epochs_since_refresh", "crisis_counter",
+    "untrusted_epochs", "has_thresholds", "live", "library",
+    "n_pre_buffer", "index_slots", "discovery", "forecast",
+]
+
+
+class TestMonitorHeader:
+    def test_header_is_encoded_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        monitor = StreamingCrisisMonitor(n_metrics=4, relevant_metrics=[0, 1])
+        monitor.attach_discovery(DiscoveryEngine(DiscoveryConfig()))
+        monitor.attach_forecast(ForecastEngine(ForecastConfig()))
+        for _ in range(12):
+            monitor.ingest(np.sort(rng.normal(size=(4, 3)), axis=1), 0.0)
+        encoded = []
+        real = checkpoint._pack_header
+
+        def spy(header):
+            encoded.append(list(header))
+            return real(header)
+
+        monkeypatch.setattr(checkpoint, "_pack_header", spy)
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path, extra={"applied_seq": 3})
+        assert encoded == [MONITOR_HEADER_KEYS]
+        with np.load(path, allow_pickle=False) as data:
+            raw = bytes(data["header"])
+            header = unpack_header(data)
+        assert list(header) == MONITOR_HEADER_KEYS
+        assert raw == json.dumps(header).encode("utf-8")
 
 
 class TestPipelineCheckpoint:

@@ -37,7 +37,7 @@ from repro.serving.loadgen import ServingClient, run_load
 from repro.serving.server import IngestServer
 from repro.serving.supervisor import FENCED
 from repro.telemetry.chaos import ServingChaosConfig, ServingChaosInjector
-from tests.test_serving_tenant import old_journal, one_row_reference, traffic
+from tests.test_serving_tenant import old_journal, serve, traffic
 
 LOCAL = "127.0.0.1"
 
@@ -239,7 +239,7 @@ class TestConvergence:
             checkpoint_every_epochs=10_000,
         )
         wait_converged(prim, stby)
-        ref = one_row_reference(
+        ref = serve(
             tmp_path / "ref", repl_cfg(checkpoint_every_epochs=10_000),
             traffic(range(12), one_row=True)
             + traffic([12], one_row=True, machines=range(3), close=False),

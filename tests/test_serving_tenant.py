@@ -1,10 +1,18 @@
 """Tenant runtime: epoch-addressed idempotency, checkpoint + replay."""
 
+import json
+import os
+import pathlib
+import signal
 import struct
+import subprocess
+import sys
+import zipfile
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import ServingConfig
 from repro.core.checkpoint import CheckpointCorruptError, read_checkpoint_extra
 from repro.serving.journal import WriteAheadJournal
@@ -19,6 +27,7 @@ from repro.serving.tenant import (
     UNKNOWN_CRISIS,
 )
 from repro.serving.wire import report_as_batch
+from tests.test_archive_loaders import compress_types, write_deflated
 from tests.test_serving_journal import json_frame
 
 
@@ -31,14 +40,15 @@ def record_offsets(blob):
     return offsets
 
 
+SMALL_CFG = dict(
+    n_metrics=4, n_relevant=2, epoch_minutes=144,  # 10 epochs/day
+    window_days=2, threshold_refresh_epochs=4, min_history_epochs=6,
+    checkpoint_every_epochs=3, seed=11,
+)
+
+
 def small_cfg(**over):
-    base = dict(
-        n_metrics=4, n_relevant=2, epoch_minutes=144,  # 10 epochs/day
-        window_days=2, threshold_refresh_epochs=4, min_history_epochs=6,
-        checkpoint_every_epochs=3, seed=11,
-    )
-    base.update(over)
-    return ServingConfig(**base)
+    return ServingConfig(**{**SMALL_CFG, **over})
 
 
 def report(epoch, machine="m0", values=(1.0, 2.0, 3.0, 4.0),
@@ -359,10 +369,11 @@ def old_journal(root, *groups, reserve=0):
     journal.close()
 
 
-def one_row_reference(root, cfg, records):
-    """The same stream journaled and applied as one-row batches."""
+def serve(root, cfg, records):
+    """Journal and apply ``records`` like the supervisor, one at a time."""
     rt = TenantRuntime("tenant-0", cfg, root)
     for record in records:
+        record = dict(record)
         rt.journal.append_many([record])
         rt.apply(record)
     return rt
@@ -411,7 +422,7 @@ class TestPreBatchJournals:
             reserve=applied,
         )
         back = TenantRuntime.recover("tenant-0", cfg, old)
-        ref = one_row_reference(
+        ref = serve(
             tmp_path / "ref", cfg,
             traffic(range(12), one_row=True)
             + traffic([12], one_row=True, machines=range(2), close=False),
@@ -433,7 +444,7 @@ class TestPreBatchJournals:
         sup = TenantSupervisor(cfg, old)
         slot = sup.slot("tenant-0")
         assert slot.state == RUNNING and slot.runtime.next_epoch == 4
-        ref = one_row_reference(
+        ref = serve(
             tmp_path / "ref", cfg, traffic(range(4), one_row=True)
         )
         got, want = slot.runtime.state(), ref.state()
@@ -506,3 +517,142 @@ class TestJsonJournals:
         assert_same_state(got, want)
         got.close()
         want.close()
+
+
+class TestDeflatedCheckpoints:
+    def test_deflated_checkpoint_recovers_like_the_stored_one(
+        self, tmp_path
+    ):
+        """Checkpoints written before members were stored recover, with
+        their journal, to the state the stored form recovers to."""
+        cfg = small_cfg(
+            checkpoint_every_epochs=5, discovery_enabled=True,
+            forecast_enabled=True,
+        )
+        records = batch_traffic(range(14), diagnose_after=10)
+        serve(tmp_path / "stored", cfg, records).close()
+        write_deflated(
+            lambda: serve(tmp_path / "deflated", cfg, records).close()
+        )
+        ckpt = pathlib.Path("tenants", "tenant-0", "checkpoint.npz")
+        assert compress_types(tmp_path / "stored" / ckpt) == {
+            zipfile.ZIP_STORED
+        }
+        assert compress_types(tmp_path / "deflated" / ckpt) == {
+            zipfile.ZIP_DEFLATED
+        }
+        got = TenantRuntime.recover("tenant-0", cfg, tmp_path / "deflated")
+        want = TenantRuntime.recover("tenant-0", cfg, tmp_path / "stored")
+        assert got.state()["library_labels"] == ["overload"]
+        assert got.monitor.discovery is not None
+        assert got.monitor.forecast is not None
+        assert got.forecasts() == want.forecasts()
+        assert got.incidents() == want.incidents()
+        assert_same_state(got, want)
+        # Both keep serving alike, through the next cadence checkpoint.
+        for rt in (got, want):
+            for record in batch_traffic([14, 15]):
+                rt.journal.append_many([record])
+                rt.apply(record)
+        assert_same_state(got, want)
+        got.close()
+        want.close()
+
+
+#: Journals and applies the records in a JSON file like a serving
+#: tenant, and SIGKILLs itself partway through the second cadence
+#: checkpoint: between two member writes of ``save_monitor``
+#: ("checkpoint"), or just before the journal compaction's rename
+#: ("compaction").  Arguments: root, where, config JSON, records JSON.
+KILLED_MID_CHECKPOINT = """
+import json, os, signal, sys
+
+import numpy as np
+
+from repro.config import ServingConfig
+from repro.serving.tenant import TenantRuntime
+
+root, where, cfg, records = sys.argv[1:]
+checkpoints, written = [], []
+real_checkpoint = TenantRuntime.checkpoint
+real_write_array = np.lib.format.write_array
+real_replace = os.replace
+
+
+def checkpoint(self):
+    checkpoints.append(self.applied_seq)
+    real_checkpoint(self)
+
+
+def write_array(fp, array, *args, **kwargs):
+    if where == "checkpoint" and len(checkpoints) == 2:
+        written.append(array)
+        if len(written) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return real_write_array(fp, array, *args, **kwargs)
+
+
+def replace(src, dst):
+    if where == "compaction" and str(src).endswith(".wal.tmp") \
+            and len(checkpoints) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_replace(src, dst)
+
+
+TenantRuntime.checkpoint = checkpoint
+np.lib.format.write_array = write_array
+os.replace = replace
+rt = TenantRuntime("tenant-0", ServingConfig(**json.loads(cfg)), root)
+for record in json.loads(records):
+    rt.journal.append_many([record])
+    rt.apply(record)
+sys.exit("the second checkpoint never ran")
+"""
+
+
+class TestOrphanedTempFiles:
+    @pytest.mark.parametrize("where", ["checkpoint", "compaction"])
+    def test_recovery_removes_the_orphan_of_a_killed_write(
+        self, tmp_path, where
+    ):
+        over = dict(checkpoint_every_epochs=5)
+        cfg = small_cfg(**over)
+        # Cadence checkpoints at the closes of epochs 4 and 9; crisis 1
+        # is live at the second.
+        records = batch_traffic(range(10))
+        closes = [
+            seq for seq, r in enumerate(records, start=1)
+            if r["op"] == "close_epoch" and r["epoch"] in (4, 9)
+        ]
+        root = tmp_path / "killed"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [str(pathlib.Path(repro.__file__).parents[1]),
+                        env.get("PYTHONPATH", "")] if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_MID_CHECKPOINT, str(root), where,
+             json.dumps({**SMALL_CFG, **over}), json.dumps(records)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        tenant_dir = root / "tenants" / "tenant-0"
+        orphans = sorted(p.name for p in tenant_dir.glob("tmp*"))
+        assert len(orphans) == 1 and orphans[0].endswith(".tmp"), orphans
+        assert orphans[0].endswith(".wal.tmp") == (where == "compaction")
+        # A checkpoint killed mid-write left the previous one in place;
+        # a compaction killed before its rename, the new one.
+        on_disk = read_checkpoint_extra(tenant_dir / "checkpoint.npz")
+        assert on_disk["applied_seq"] == (
+            closes[0] if where == "checkpoint" else closes[1]
+        )
+
+        back = TenantRuntime.recover("tenant-0", cfg, root)
+        assert sorted(p.name for p in tenant_dir.iterdir()) == [
+            "checkpoint.npz", "journal.wal",
+        ]
+        ref = serve(tmp_path / "ref", cfg, records)
+        assert any(e["type"] == "crisis_detected" for e in ref.event_log)
+        assert_same_state(back, ref)
+        back.close()
+        ref.close()
