@@ -36,19 +36,33 @@ not keep each series fully sorted.  Per series it maintains a sorted
 *tail* (the largest ~(100-hot)-fraction values plus slack) over the
 values currently in the window, alongside a ring buffer of every raw
 epoch in the window (anomalous ones included, but not admitted).
-Admitting an epoch touches a head/tail only when the value lands inside
-it (a ~4% event in steady state at 2/98), eviction removes by binary
-search, and the percentile query interpolates directly between the two
-neighboring order statistics using numpy's own linear-method
-arithmetic, so the result is the same IEEE-754 value
-``np.percentile``/``np.nanpercentile`` would produce.  When evictions
-erode a head/tail below what the query needs (a bounded-random-walk
-event made rare by the slack), that one series is rebuilt from the ring
-in O(W log W).
+
+Each head and tail is its own ``array.array('d')`` row, edited in C by
+``bisect`` (insert left of ties, delete by binary search), beside numpy
+arrays of each head's maximum and each tail's minimum, so one vectorized
+comparison per epoch picks the series an admission or eviction touches.
+That is the series whose value lands inside its head or tail, a share
+of about length/W plus ties, where a head's length runs from what the
+query needs plus ``_SLACK`` up to one more ``_SLACK`` (72 to 136 of 300
+slots for the 2nd percentile of a 300-epoch window); a window shorter
+than that makes every head and tail the whole window, touched by every
+admission and eviction.
+
+The percentile query interpolates directly between the two neighboring
+order statistics using numpy's own linear-method arithmetic, so the
+result is the same IEEE-754 value ``np.percentile``/``np.nanpercentile``
+would produce.  When evictions erode a head/tail below what the query
+needs (a bounded-random-walk event made rare by the slack), the query
+re-sorts every eroded series from the ring in one pass, through the same
+row builder a bulk :meth:`RollingThresholdTracker.prime` uses.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, insort_left
+from itertools import compress
+from operator import getitem
 from typing import Optional, Tuple
 
 import numpy as np
@@ -91,6 +105,44 @@ def _virtual_indexes(
     prev = np.where(above, counts - 1, prev).astype(np.intp)
     nxt = np.minimum(prev + 1, counts - 1).astype(np.intp)
     return prev, nxt, gamma
+
+
+def _insert(rows, lengths, ends, end, cap, idx, values) -> None:
+    """Insert ``values[i]`` into ``rows[idx[i]]`` left of its ties.
+
+    A row already ``cap`` long first drops its ``end`` value (``-1``: a
+    head's maximum, ``0``: a tail's minimum); ``lengths`` and ``ends``
+    (each row's ``end`` value) follow the rows.
+    """
+    picked = [rows[s] for s in idx.tolist()]
+    full = lengths[idx] == cap
+    for row in compress(picked, full.tolist()):
+        row.pop(end)
+    for row, x in zip(picked, values.tolist()):
+        insort_left(row, x)
+    lengths[idx[~full]] += 1
+    ends[idx] = _ends(picked, end)
+
+
+def _remove(rows, lengths, ends, end, idx, values) -> None:
+    """Remove one copy of ``values[i]`` from ``rows[idx[i]]``."""
+    picked = [rows[s] for s in idx.tolist()]
+    for row, x in zip(picked, values.tolist()):
+        del row[bisect_left(row, x)]
+    lengths[idx] -= 1
+    ends[idx] = _ends(picked, end)
+
+
+def _ends(rows, end: int) -> list:
+    """Each row's ``end`` value (``0``: first, ``-1``: last); NaN if empty."""
+    return [row[end] if row else np.nan for row in rows]
+
+
+def _gather(rows, index: np.ndarray) -> np.ndarray:
+    """``rows[s][index[s]]`` for every series ``s``."""
+    return np.fromiter(
+        map(getitem, rows, index.tolist()), dtype=float, count=len(rows)
+    )
 
 
 class RollingThresholdTracker:
@@ -140,10 +192,15 @@ class RollingThresholdTracker:
 
         self._ring = np.empty((W, S), dtype=float)  # raw epochs in window
         self._alive = np.zeros(W, dtype=bool)  # slot admitted & in window
-        self._head = np.empty((S, self._h_cap), dtype=float)
-        self._tail = np.empty((S, self._t_cap), dtype=float)
-        self._h = np.zeros(S, dtype=np.intp)  # valid head lengths
-        self._tl = np.zeros(S, dtype=np.intp)  # valid tail lengths
+        # One sorted row per series, edited in place by bisect.
+        self._heads = [array("d") for _ in range(S)]
+        self._tails = [array("d") for _ in range(S)]
+        self._h = np.zeros(S, dtype=np.intp)  # head lengths
+        self._tl = np.zeros(S, dtype=np.intp)  # tail lengths
+        # Each head's last and each tail's first value (NaN when empty),
+        # so admission and eviction pick their series in one expression.
+        self._head_max = np.full(S, np.nan)
+        self._tail_min = np.full(S, np.nan)
         self._n_valid = np.zeros(S, dtype=np.intp)  # non-NaN per series
         self._n_win = 0  # admitted epochs in window
         self._t = 0  # epochs appended (time)
@@ -184,7 +241,6 @@ class RollingThresholdTracker:
 
     def _admit(self, v: np.ndarray) -> None:
         finite = ~np.isnan(v)
-        ar = np.arange(self._S)
         # The head invariant — head[:h] is the h smallest finite values of
         # the window — admits v in exactly two cases: v lands inside the
         # current prefix, or the head covers the whole series (h == number
@@ -192,83 +248,57 @@ class RollingThresholdTracker:
         # eroded, non-covering head must NOT be inserted: its rank among
         # the untracked values is unknown.
         h = self._h
-        head_max = self._head[ar, np.maximum(h - 1, 0)]
-        covers = self._n_valid == h
         into_head = finite & (
-            (covers & (h < self._h_target)) | ((h > 0) & (v <= head_max))
+            ((self._n_valid == h) & (h < self._h_target))
+            | ((h > 0) & (v <= self._head_max))
         )
+        # Symmetrically for the tail, except that a full tail makes room by
+        # dropping its minimum, and v lands left of its ties: a v equal to
+        # that minimum would take the dropped slot and change nothing.
         t = self._tl
-        tail_min = self._tail[ar, 0]
-        covers_t = self._n_valid == t
         into_tail = finite & (
-            (covers_t & (t < self._t_target)) | ((t > 0) & (v >= tail_min))
-        )
+            ((self._n_valid == t) & (t < self._t_target))
+            | ((t > 0) & (v >= self._tail_min))
+        ) & ~((t == self._t_cap) & (v == self._tail_min))
         self._n_valid[finite] += 1
-        for s in np.flatnonzero(into_head):
-            n = self._h[s]
-            row = self._head[s]
-            pos = np.searchsorted(row[:n], v[s])
-            if n == self._h_cap:
-                # Full: inserting the new value evicts the current
-                # maximum, keeping head[:n] the n smallest.
-                if pos < n:
-                    row[pos + 1 : n] = row[pos : n - 1]
-                    row[pos] = v[s]
-            else:
-                row[pos + 1 : n + 1] = row[pos:n]
-                row[pos] = v[s]
-                self._h[s] = n + 1
-        for s in np.flatnonzero(into_tail):
-            n = self._tl[s]
-            row = self._tail[s]
-            pos = np.searchsorted(row[:n], v[s])
-            if n == self._t_cap:
-                # Full: inserting evicts the current minimum.
-                if pos > 0:
-                    row[: pos - 1] = row[1:pos]
-                    row[pos - 1] = v[s]
-            else:
-                row[pos + 1 : n + 1] = row[pos:n]
-                row[pos] = v[s]
-                self._tl[s] = n + 1
+        idx = np.flatnonzero(into_head)
+        _insert(
+            self._heads, self._h, self._head_max, -1, self._h_cap, idx, v[idx]
+        )
+        idx = np.flatnonzero(into_tail)
+        _insert(
+            self._tails, self._tl, self._tail_min, 0, self._t_cap, idx, v[idx]
+        )
 
     def _evict(self, v: np.ndarray) -> None:
         finite = ~np.isnan(v)
         self._n_valid[finite] -= 1
-        ar = np.arange(self._S)
-        h = self._h
-        head_max = self._head[ar, np.maximum(h - 1, 0)]
         # A value at most the head's maximum is *in* the head (the head is
         # the h smallest values of the window multiset; ties included).
-        in_head = finite & (h > 0) & (v <= head_max)
-        for s in np.flatnonzero(in_head):
-            n = self._h[s]
-            row = self._head[s]
-            pos = np.searchsorted(row[:n], v[s])
-            row[pos : n - 1] = row[pos + 1 : n]
-            self._h[s] = n - 1
-        t = self._tl
-        tail_min = self._tail[ar, 0]
-        in_tail = finite & (t > 0) & (v >= tail_min)
-        for s in np.flatnonzero(in_tail):
-            n = self._tl[s]
-            row = self._tail[s]
-            pos = np.searchsorted(row[:n], v[s])
-            row[pos : n - 1] = row[pos + 1 : n]
-            self._tl[s] = n - 1
+        idx = np.flatnonzero(finite & (self._h > 0) & (v <= self._head_max))
+        _remove(self._heads, self._h, self._head_max, -1, idx, v[idx])
+        idx = np.flatnonzero(finite & (self._tl > 0) & (v >= self._tail_min))
+        _remove(self._tails, self._tl, self._tail_min, 0, idx, v[idx])
 
-    def _rebuild(self, s: int) -> None:
-        """Re-sort one series from the ring (rare: slack exhausted)."""
-        col = self._ring[self._alive, s]
-        col = np.sort(col[~np.isnan(col)])
-        n = col.size
-        self._n_valid[s] = n
-        h = min(n, self._h_target)
-        self._head[s, :h] = col[:h]
-        self._h[s] = h
-        t = min(n, self._t_target)
-        self._tail[s, :t] = col[n - t :]
-        self._tl[s] = t
+    def _load_rows(self, series: np.ndarray, srt: np.ndarray) -> None:
+        """Rebuild the heads and tails of ``series`` from ``srt``, their
+        admitted window values as sorted columns (NaNs last)."""
+        counts = np.count_nonzero(~np.isnan(srt), axis=0)
+        h = np.minimum(counts, self._h_target)
+        t = np.minimum(counts, self._t_target)
+        heads = [array("d", col[:k].tobytes()) for col, k in zip(srt.T, h)]
+        tails = [
+            array("d", col[n - k : n].tobytes())
+            for col, n, k in zip(srt.T, counts, t)
+        ]
+        for s, head, tail in zip(series.tolist(), heads, tails):
+            self._heads[s] = head
+            self._tails[s] = tail
+        self._n_valid[series] = counts
+        self._h[series] = h
+        self._tl[series] = t
+        self._head_max[series] = _ends(heads, -1)
+        self._tail_min[series] = _ends(tails, 0)
 
     def prime(
         self,
@@ -309,23 +339,7 @@ class RollingThresholdTracker:
         self._alive[slots] = keep
         admitted = window[keep]
         self._n_win = admitted.shape[0]
-        self._h[:] = 0
-        self._tl[:] = 0
-        self._n_valid[:] = 0
-        if not self._n_win:
-            return
-        srt = np.sort(admitted, axis=0)  # NaNs sort to the end
-        self._n_valid[:] = np.count_nonzero(~np.isnan(admitted), axis=0)
-        h = np.minimum(self._n_valid, self._h_target)
-        rows = min(self._n_win, self._h_target)
-        self._head[:, :rows] = srt[:rows].T
-        self._h[:] = h
-        t = np.minimum(self._n_valid, self._t_target)
-        rows = min(self._n_win, self._t_target)
-        idx = np.maximum(self._n_valid - t, 0)[None, :] + np.arange(rows)[:, None]
-        np.clip(idx, 0, self._n_win - 1, out=idx)
-        self._tail[:, :rows] = np.take_along_axis(srt, idx, axis=0).T
-        self._tl[:] = t
+        self._load_rows(np.arange(self._S), np.sort(admitted, axis=0))
 
     # -- query -------------------------------------------------------------
 
@@ -343,17 +357,24 @@ class RollingThresholdTracker:
             raise ValueError("a metric quantile has no reported history")
         prev_c, nxt_c, gamma_c = _virtual_indexes(counts, self.cold_percentile)
         prev_h, nxt_h, gamma_h = _virtual_indexes(counts, self.hot_percentile)
-        short_head = self._h <= nxt_c
-        short_tail = self._tl < counts - prev_h
-        for s in np.flatnonzero(short_head | short_tail):
-            self._rebuild(s)
-        ar = np.arange(self._S)
+        # Evictions can erode a head or tail below what the query reads
+        # (rare: the slack absorbs it); re-sort those series from the ring.
+        short = np.flatnonzero(
+            (self._h <= nxt_c) | (self._tl < counts - prev_h)
+        )
+        if short.size:
+            alive = np.flatnonzero(self._alive)
+            self._load_rows(
+                short, np.sort(self._ring[np.ix_(alive, short)], axis=0)
+            )
         cold = _lerp(
-            self._head[ar, prev_c], self._head[ar, nxt_c], gamma_c
+            _gather(self._heads, prev_c), _gather(self._heads, nxt_c), gamma_c
         )
         off = counts - self._tl  # sorted index of each tail's first slot
         hot = _lerp(
-            self._tail[ar, prev_h - off], self._tail[ar, nxt_h - off], gamma_h
+            _gather(self._tails, prev_h - off),
+            _gather(self._tails, nxt_h - off),
+            gamma_h,
         )
         shape = (self.n_metrics, self.n_quantiles)
         return QuantileThresholds(

@@ -53,8 +53,9 @@ def _check_history(tracker, epochs, window):
     )
 
 
-def _check_parity(tracker, win, cold_p, hot_p):
-    """Tracker output (including failures) == window recompute."""
+def _check_parity(tracker, win, cold_p, hot_p, direct=True):
+    """Tracker output (including failures) == window recompute; with
+    ``direct``, also == ``np.nanpercentile`` called here."""
     if win.shape[0] < 2:
         with pytest.raises(ValueError, match="at least two epochs"):
             tracker.thresholds()
@@ -70,6 +71,8 @@ def _check_parity(tracker, win, cold_p, hot_p):
     expected = percentile_thresholds(win, cold_p, hot_p)
     np.testing.assert_array_equal(got.cold, expected.cold)
     np.testing.assert_array_equal(got.hot, expected.hot)
+    if not direct:
+        return
     # And against numpy directly, not just the wrapper.
     np.testing.assert_array_equal(
         got.cold.ravel(), np.nanpercentile(flat, cold_p, axis=0)
@@ -144,6 +147,107 @@ class TestTrackerProperties:
                 b = tracker.thresholds()
                 np.testing.assert_array_equal(a.cold, b.cold)
                 np.testing.assert_array_equal(a.hot, b.hot)
+
+
+def _variant_stream(rng, n_epochs, shape, n_variants, anomalous_rate,
+                    nan_rate=0.05, drift=None):
+    """Epochs drawn from a small pool of value variants, as real epochs
+    repeat: many exact ties (+0.0 and -0.0 among them), NaN gaps and
+    anomalous epochs.  ``drift`` is ``(start, stop, slope)``: epochs in
+    ``[start, stop)`` add ``slope`` per epoch, which erodes the heads
+    (slope > 0) or the tails (slope < 0) past their slack."""
+    pool = np.round(rng.normal(0.0, 2.0, (n_variants,) + shape), 1)
+    special = rng.random(pool.shape) < 0.3
+    pool[special] = rng.choice([0.0, -0.0, 1.0, 2.5, -3.0], special.sum())
+    epochs = []
+    for e in range(n_epochs):
+        v = pool[rng.integers(n_variants)].copy()
+        if drift is not None and drift[0] <= e < drift[1]:
+            v += drift[2] * (e - drift[0])
+        v[rng.random(shape) < nan_rate] = np.nan
+        epochs.append((v, bool(rng.random() < anomalous_rate)))
+    return epochs
+
+
+def _drive(epochs, window, cold_p, hot_p, every, direct=True):
+    """Append ``epochs``, querying every ``every`` epochs.
+
+    Each query is checked against the window recompute (see
+    :func:`_check_parity`) and against a tracker primed, at the previous
+    query, from the state a checkpoint keeps (``values()``,
+    ``anomalous_mask()``, ``len``), which has appended the same epochs
+    since.
+    """
+    shape = epochs[0][0].shape
+    tracker = RollingThresholdTracker(*shape, window, cold_p, hot_p)
+    primed = None
+    for i, (values, anomalous) in enumerate(epochs):
+        tracker.append(values, anomalous)
+        if primed is not None:
+            primed.append(values, anomalous)
+        if (i + 1) % every:
+            continue
+        _check_parity(
+            tracker, _live_window(epochs, window, i + 1), cold_p, hot_p,
+            direct,
+        )
+        if primed is not None:
+            assert len(primed) == len(tracker)
+            assert primed.window_count == tracker.window_count
+            if tracker.window_count >= 2:
+                a, b = tracker.thresholds(), primed.thresholds()
+                np.testing.assert_array_equal(a.cold, b.cold)
+                np.testing.assert_array_equal(a.hot, b.hot)
+        primed = RollingThresholdTracker(*shape, window, cold_p, hot_p)
+        primed.prime(tracker.values(), tracker.anomalous_mask(), len(tracker))
+    return tracker
+
+
+class TestTrackerPastTheSlack:
+    """Windows long enough that heads and tails are shorter than the
+    window: they fill to their caps (insert, then drop the far end) and
+    erode under a drift (the rebuild from the ring)."""
+
+    @given(
+        st.integers(140, 320),
+        st.sampled_from([(2.0, 98.0), (10.0, 90.0)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 16),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.sampled_from([-0.5, -0.05, 0.05, 0.5]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_variant_stream_matches_window_recompute(
+        self, window, pair, seed, n_variants, anomalous_rate, slope
+    ):
+        rng = np.random.default_rng(seed)
+        # The drift outlasts the window, so every value it found there is
+        # evicted while the drifting ones pass its heads (or tails) by.
+        start = int(rng.integers(window // 2, window + 1))
+        stop = start + window + int(rng.integers(0, 100))
+        epochs = _variant_stream(
+            rng, stop + 100, (M, Q), n_variants, anomalous_rate,
+            drift=(start, stop, slope),
+        )
+        _drive(epochs, window, *pair, every=window // 8)
+
+    def test_crisis_online_shape(self):
+        """100 metrics x 3 quantiles, a 300-epoch window, 16 repeating
+        variants with no gaps, 900 epochs, thresholds every 10th epoch
+        (checked against ``percentile_thresholds``: ``np.nanpercentile``
+        runs column by column, too slow for 90 checks of 300 series)."""
+        rng = np.random.default_rng(11)
+        epochs = _variant_stream(rng, 900, (100, 3), 16, 0.2, nan_rate=0.0)
+        tracker = _drive(epochs, 300, 2.0, 98.0, every=10, direct=False)
+        assert len(tracker) == 900
+
+    def test_ingest_batch_shape(self):
+        """32 metrics x 3 quantiles in a 10-epoch window: every head and
+        tail is the whole window, touched by every admit and evict."""
+        rng = np.random.default_rng(12)
+        epochs = _variant_stream(rng, 130, (32, 3), 16, 0.05)
+        tracker = _drive(epochs, 10, 2.0, 98.0, every=10)
+        assert len(tracker) == 130
 
 
 class TestTrackerContracts:
