@@ -219,45 +219,6 @@ class FleetConfig:
 
 
 @dataclass(frozen=True)
-class IndexConfig:
-    """Fingerprint-index policy for the identification step.
-
-    ``backend`` selects the :mod:`repro.index` implementation used for
-    nearest-neighbor matching: ``"brute"`` (exact, the default — results
-    are bit-identical to a linear scan) or ``"lsh"`` (approximate,
-    sub-linear at scale; see ``docs/index.md`` for the measured recall
-    contract).  The LSH parameters mirror :class:`repro.index.LSHIndex`;
-    ``lsh_width`` of ``None`` freezes the bucket width automatically
-    from the data scale.
-    """
-
-    backend: str = "brute"
-    lsh_tables: int = 16
-    lsh_hashes: int = 6
-    lsh_width: Optional[float] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("brute", "lsh"):
-            raise ValueError(f"unknown index backend {self.backend!r}")
-        if self.lsh_tables <= 0 or self.lsh_hashes <= 0:
-            raise ValueError("lsh_tables and lsh_hashes must be positive")
-        if self.lsh_width is not None and self.lsh_width <= 0:
-            raise ValueError("lsh_width must be positive")
-
-    def backend_kwargs(self) -> dict:
-        """Constructor kwargs for :func:`repro.index.create_index`."""
-        if self.backend == "lsh":
-            return {
-                "n_tables": self.lsh_tables,
-                "n_hashes": self.lsh_hashes,
-                "width": self.lsh_width,
-                "seed": self.seed,
-            }
-        return {}
-
-
-@dataclass(frozen=True)
 class DiscoveryConfig:
     """Policy for unsupervised crisis discovery (:mod:`repro.discovery`).
 
@@ -537,7 +498,6 @@ class FingerprintingConfig:
     identification: IdentificationConfig = field(
         default_factory=IdentificationConfig
     )
-    index: IndexConfig = field(default_factory=IndexConfig)
 
     def with_(self, **kwargs) -> "FingerprintingConfig":
         """Return a copy with the given top-level sections replaced."""
@@ -552,7 +512,6 @@ __all__ = [
     "SelectionConfig",
     "FingerprintConfig",
     "IdentificationConfig",
-    "IndexConfig",
     "DiscoveryConfig",
     "FleetConfig",
     "ForecastConfig",

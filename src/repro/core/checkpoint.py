@@ -27,7 +27,7 @@ written before that held the full history; they load unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.telemetry.epochs import EpochClock
 from repro.core.pipeline import FingerprintPipeline, KnownCrisis
 from repro.core.streaming import StreamingCrisisMonitor, _LiveCrisis, _StoredCrisis
 from repro.core.thresholds import QuantileThresholds
-from repro.index.snapshot import index_from_arrays, index_to_arrays
 
 #: Format version embedded in every checkpoint archive.
 CHECKPOINT_FORMAT_VERSION = 1
@@ -110,7 +109,6 @@ def save_monitor(
             for s in monitor._library
         ],
         "n_pre_buffer": len(monitor._pre_buffer),
-        "index_slots": sorted(monitor._index_cache),
     }
     # Opt-in discovery state rides inside the monitor archive so monitor
     # + engine stay one atomic snapshot.  Checkpoints written without an
@@ -137,11 +135,6 @@ def save_monitor(
         "store_anomalous": monitor.store.anomalous_mask(),
         **embedded,
     }
-    # Identification indexes are derived state, but re-deriving them means
-    # re-fingerprinting the whole library per protocol slot — snapshot them
-    # so a restored monitor resumes with warm indexes.
-    for k, index in monitor._index_cache.items():
-        arrays.update(index_to_arrays(index, prefix=f"index_slot{k}_"))
     if monitor.thresholds is not None:
         arrays["thresholds_cold"] = monitor.thresholds.cold
         arrays["thresholds_hot"] = monitor.thresholds.hot
@@ -171,6 +164,18 @@ def load_monitor(
     A damaged archive raises :class:`CheckpointCorruptError` (never a raw
     ``KeyError``/``zipfile`` error), so a caller holding older snapshots
     can fall back instead of crashing.
+    """
+    return load_monitor_and_extra(path, config, reliability)[0]
+
+
+def load_monitor_and_extra(
+    path,
+    config: FingerprintingConfig = FingerprintingConfig(),
+    reliability: ReliabilityConfig = ReliabilityConfig(),
+) -> Tuple[StreamingCrisisMonitor, dict]:
+    """:func:`load_monitor` plus the archive's ``extra`` header, from one
+    open and one decode of the archive (what :func:`read_checkpoint_extra`
+    would return).
     """
     with read_npz(path, CHECKPOINT_FORMAT_VERSION, "monitor") as (
         header, data
@@ -231,15 +236,9 @@ def load_monitor(
             )
             for i, meta in enumerate(header["library"])
         ]
-        # Checkpoints written before index snapshots existed carry
-        # none; the monitor then rebuilds its identification indexes
-        # lazily on the next crisis.
-        for k in header.get("index_slots", []):
-            index = index_from_arrays(data, prefix=f"index_slot{k}_")
-            monitor._index_cache[k] = index
-            monitor._index_labels[k] = {
-                i: index.payload(i) for i in index.ids()
-            }
+        # Archives written while the monitor cached per-slot indexes also
+        # hold ``index_slots`` and ``index_slot{k}_*``: derived state, so
+        # it is ignored.
         disc_header = header.get("discovery")
         if disc_header is not None:
             # Lazy import: repro.discovery depends on this module's
@@ -258,7 +257,7 @@ def load_monitor(
                 fc_header, data, prefix="forecast_"
             )
             forecast.attach(monitor)
-    return monitor
+    return monitor, header.get("extra") or {}
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +357,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointFormatError",
     "load_monitor",
+    "load_monitor_and_extra",
     "load_pipeline",
     "read_checkpoint_extra",
     "save_monitor",

@@ -41,7 +41,7 @@ don't-know label rather than risk a misidentification, preserving the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,9 +54,9 @@ from repro.core.engine import (
 )
 from repro.core.identification import (
     UNKNOWN,
+    Identifier,
     estimate_threshold_online,
 )
-from repro.index import FingerprintIndex, create_index
 from repro.core.thresholds import QuantileThresholds
 from repro.telemetry.collector import EpochQuality
 from repro.telemetry.epochs import EpochClock
@@ -151,12 +151,6 @@ class StreamingCrisisMonitor:
         self._library: List[_StoredCrisis] = []
         self._pre_buffer: List[np.ndarray] = []  # last pre_epochs summaries
         self.untrusted_epochs = 0  # lifetime count of quarantined epochs
-        # Identification indexes, one per protocol slot k (the library is
-        # re-fingerprinted at depth pre+k+1 for slot k).  Derived state:
-        # rebuilt incrementally as crises are diagnosed and invalidated
-        # when thresholds or the relevant-metric set change.
-        self._index_cache: Dict[int, FingerprintIndex] = {}
-        self._index_labels: Dict[int, Dict[int, str]] = {}
         # Opt-in unsupervised discovery (repro.discovery): observes the
         # event stream so don't-know crises grow the catalog.
         self._discovery = None
@@ -221,7 +215,6 @@ class StreamingCrisisMonitor:
     def set_relevant_metrics(self, relevant: Sequence[int]) -> None:
         """Swap the fingerprint columns (from fresh offline selection)."""
         self.relevant = self._checked_relevant(relevant)
-        self._invalidate_indexes()
 
     @property
     def ready(self) -> bool:
@@ -289,76 +282,39 @@ class StreamingCrisisMonitor:
             window, self.thresholds, self.relevant, n_epochs
         )
 
-    def _invalidate_indexes(self) -> None:
-        self._index_cache.clear()
-        self._index_labels.clear()
-
-    def _library_index(self, k: int) -> FingerprintIndex:
-        """The identification index for protocol slot ``k``, synced lazily.
-
-        Newly diagnosed crises are *added* to an existing index (the
-        incremental path); a relabeled crisis or invalidated cache
-        triggers a rebuild.  Exact backends store float64 so matching is
-        bit-identical to the historical direct scan over the library.
-        """
-        pre = self.config.fingerprint.pre_epochs
-        cfg = self.config.index
-        index = self._index_cache.get(k)
-        if index is None:
-            dim = int(self.relevant.size) * self.config.quantiles.count
-            kwargs = cfg.backend_kwargs()
-            if cfg.backend == "brute":
-                kwargs["dtype"] = np.float64
-            index = create_index(cfg.backend, dim, **kwargs)
-            self._index_cache[k] = index
-            self._index_labels[k] = {}
-        labels = self._index_labels[k]
-        for stored in self._library:
-            if stored.label is None:
-                continue
-            seen = labels.get(stored.number)
-            if seen is None:
-                index.add(
-                    self._fingerprint(
-                        stored.quantile_window, n_epochs=pre + k + 1
-                    ),
-                    id=stored.number,
-                    payload=stored.label,
-                )
-                labels[stored.number] = stored.label
-            elif seen != stored.label:
-                self._invalidate_indexes()
-                return self._library_index(k)
-        return index
-
     def _identify(self, live: _LiveCrisis, epoch: int) -> IdentificationUpdate:
+        """One protocol slot: match the live crisis against the library.
+
+        Section 5.3 estimates ``T_id`` from the distances of every pair of
+        diagnosed crises, so each identification reads the whole library:
+        slot ``k`` re-fingerprints every diagnosed window at depth
+        ``pre + k + 1`` under the current thresholds and relevant metrics,
+        and scans it.
+        """
         k = live.identifications
-        window = live.summaries.view()
-        new_vec = self._fingerprint(window)
-        index = self._library_index(k)
-        threshold = None
-        if len(index) >= 2:
-            ids = index.ids()
+        pre = self.config.fingerprint.pre_epochs
+        new_vec = self._fingerprint(live.summaries.view())
+        library = [
+            (self._fingerprint(stored.quantile_window, n_epochs=pre + k + 1),
+             stored.label)
+            for stored in self._library
+            if stored.label is not None
+        ]
+        # Fewer than two diagnosed crises, or a library whose pairs yield
+        # no T_id, leaves the slot at don't-know.
+        result_label, distance = UNKNOWN, None
+        if len(library) >= 2:
             try:
                 threshold = estimate_threshold_online(
-                    [index.vector(i) for i in ids],
-                    [index.payload(i) for i in ids],
+                    [vec for vec, _ in library],
+                    [label for _, label in library],
                     self.config.identification.alpha,
                 )
             except ValueError:
-                threshold = None
-        if threshold is None or len(index) == 0:
-            result_label, distance = UNKNOWN, None
-        else:
-            hits = index.query(new_vec, k=1)
-            if not hits:
-                # Approximate backends may return nothing when no bucket
-                # holds the query; that is a don't-know, not a crash.
-                result_label, distance = UNKNOWN, None
+                pass
             else:
-                hit = hits[0]
-                distance = hit.distance
-                result_label = hit.payload if distance < threshold else UNKNOWN
+                result = Identifier(threshold).identify(new_vec, library)
+                result_label, distance = result.label, result.distance
         live.identifications += 1
         return IdentificationUpdate(
             epoch=epoch,
@@ -426,12 +382,9 @@ class StreamingCrisisMonitor:
         # Untrusted epochs are quarantined by the engine: stored flagged
         # anomalous (so they can never enter a crisis-free threshold
         # window) with the refresh countdown frozen.
-        epoch, refreshed = self._engine.observe(
+        epoch, _ = self._engine.observe(
             epoch_quantiles, anomalous=anomalous, frozen=untrusted
         )
-        if refreshed:
-            # New thresholds re-discretize every library fingerprint.
-            self._invalidate_indexes()
 
         events: List[MonitorEvent] = []
         if untrusted:

@@ -3,9 +3,8 @@
 The archive format follows the :mod:`repro.core.atomicio` idiom used by
 the streaming checkpoints: array payloads plus a JSON header carrying
 the backend name and constructor parameters, written atomically.  The
-same helpers also embed index snapshots *inside* a monitor checkpoint
-(:mod:`repro.core.checkpoint`) under a key prefix, so a restored monitor
-does not rebuild its identification indexes from scratch.
+same helpers take a key prefix, so a snapshot can also ride inside
+another archive.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def index_to_arrays(
     """Flatten an index snapshot into prefixed arrays (header included).
 
     Used both for standalone archives (empty prefix) and for embedding a
-    snapshot inside another archive, e.g. a monitor checkpoint.
+    snapshot inside another archive.
     """
     header, arrays = index.snapshot()
     out = {f"{prefix}header": pack_header(header)}

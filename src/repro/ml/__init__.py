@@ -14,7 +14,6 @@ implemented from scratch on numpy/scipy:
 * :mod:`repro.ml.crossval` — k-fold utilities for validating classifiers.
 """
 
-from repro.ml.coordinate import CoordinateDescentL1Logistic, l1_objective
 from repro.ml.crossval import cross_val_score, kfold_indices
 from repro.ml.logistic import (
     L1LogisticRegression,
@@ -26,8 +25,6 @@ from repro.ml.preprocessing import StandardScaler
 from repro.ml.roc import ROCCurve, auc_score, roc_curve, threshold_at_alpha
 
 __all__ = [
-    "CoordinateDescentL1Logistic",
-    "l1_objective",
     "cross_val_score",
     "kfold_indices",
     "L1LogisticRegression",

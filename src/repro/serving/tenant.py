@@ -3,9 +3,8 @@
 A :class:`TenantRuntime` owns everything the front door knows about one
 tenant: the write-ahead journal, the pending-epoch report buffer, the
 agent-health tracker, the :class:`~repro.core.streaming.StreamingCrisisMonitor`
-(one :class:`~repro.core.engine.EpochStateEngine` + per-slot
-:class:`~repro.index.FingerprintIndex` under the hood), and the
-checkpoint that ties them together.
+(one :class:`~repro.core.engine.EpochStateEngine` and its crisis library
+under the hood), and the checkpoint that ties them together.
 
 **Apply is replay.**  Every state change flows through
 :meth:`TenantRuntime.apply` on a journaled record — the live path and
@@ -385,7 +384,7 @@ class TenantRuntime:
         for orphan in runtime.dir.glob("tmp*.tmp"):
             orphan.unlink(missing_ok=True)
         if runtime.checkpoint_path.exists():
-            runtime.monitor = ckpt.load_monitor(
+            runtime.monitor, extra = ckpt.load_monitor_and_extra(
                 runtime.checkpoint_path,
                 config=monitor_config(cfg),
                 reliability=ReliabilityConfig(
@@ -394,7 +393,6 @@ class TenantRuntime:
             )
             _attach_discovery(runtime.monitor, cfg)
             _attach_forecast(runtime.monitor, cfg)
-            extra = ckpt.read_checkpoint_extra(runtime.checkpoint_path)
             runtime.applied_seq = int(extra.get("applied_seq", 0))
             runtime.next_epoch = int(extra.get("next_epoch", 0))
             # Pre-replication checkpoints always compacted to the

@@ -41,7 +41,10 @@ from repro.core.streaming import (
 )
 from repro.discovery import DiscoveryEngine
 from repro.forecast import ForecastEngine
+from repro.index import BruteForceIndex
+from repro.index.snapshot import index_to_arrays
 from tests.test_archive_loaders import compress_types, write_deflated
+from tests.test_index_backends import as_kdtree_header
 
 CONFIG = FingerprintingConfig(
     selection=SelectionConfig(n_relevant=20),
@@ -227,7 +230,7 @@ MONITOR_HEADER_KEYS = [
     "store_epochs", "epoch_minutes", "threshold_refresh_epochs",
     "min_history_epochs", "epochs_since_refresh", "crisis_counter",
     "untrusted_epochs", "has_thresholds", "live", "library",
-    "n_pre_buffer", "index_slots", "discovery", "forecast",
+    "n_pre_buffer", "discovery", "forecast",
 ]
 
 
@@ -255,6 +258,79 @@ class TestMonitorHeader:
             header = unpack_header(data)
         assert list(header) == MONITOR_HEADER_KEYS
         assert raw == json.dumps(header).encode("utf-8")
+
+
+def write_index_slots(path, monitor, kdtree=False):
+    """Rewrite ``path`` the way archives were written while the monitor
+    cached one identification index per protocol slot: an ``index_slots``
+    header key and an ``index_slot{k}_*`` snapshot per slot, each built
+    as the monitor built it (every diagnosed crisis fingerprinted at depth
+    ``pre + k + 1``, id = crisis number, payload = label).  ``kdtree``
+    gives each slot the header the retired k-d tree backend wrote.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = unpack_header(arrays)
+    slots = list(range(CONFIG.identification.n_epochs))
+    tail = {k: header.pop(k) for k in ("discovery", "forecast") if k in header}
+    header.update(index_slots=slots, **tail)
+    arrays["header"] = pack_header(header)
+    pre = CONFIG.fingerprint.pre_epochs
+    dim = monitor.relevant.size * CONFIG.quantiles.count
+    for k in slots:
+        index = BruteForceIndex(dim, dtype=np.float64)
+        for stored in monitor._library:
+            if stored.label is not None:
+                index.add(
+                    monitor._fingerprint(stored.quantile_window,
+                                         n_epochs=pre + k + 1),
+                    id=stored.number, payload=stored.label,
+                )
+        assert len(index) > 0, "slot indexes must hold the library"
+        members = index_to_arrays(index, prefix=f"index_slot{k}_")
+        if kdtree:
+            key = f"index_slot{k}_header"
+            members[key] = pack_header(
+                as_kdtree_header(unpack_header({"header": members[key]}))
+            )
+        arrays.update(members)
+    np.savez(path, **arrays)
+
+
+class TestIndexSlotArchives:
+    """Archives that still carry per-slot identification indexes load;
+    the members are derived state and are ignored."""
+
+    @pytest.mark.parametrize("kdtree", [False, True], ids=["brute", "kdtree"])
+    def test_slot_members_load_and_resume_identically(
+        self, small_trace, tmp_path, uninterrupted, kdtree
+    ):
+        _, expected = uninterrupted
+        detections = [e for e in expected if isinstance(e, CrisisDetected)]
+        split = detections[2].epoch + 1
+        monitor = make_monitor(small_trace)
+        before = replay(monitor, small_trace, 0, split)
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path)
+        write_index_slots(path, monitor, kdtree=kdtree)
+        with np.load(path, allow_pickle=False) as data:
+            assert "index_slot4_vectors" in data.files
+            assert unpack_header(data)["index_slots"] == [0, 1, 2, 3, 4]
+
+        restored = load_monitor(path, CONFIG, RELIABILITY)
+        after = replay(restored, small_trace, split, small_trace.n_epochs)
+        assert before + after == expected
+
+    def test_fresh_archive_has_no_index_slot(self, tmp_path, uninterrupted):
+        monitor, _ = uninterrupted
+        assert any(label is not None for label in monitor.library_labels)
+        path = tmp_path / "monitor.npz"
+        save_monitor(monitor, path)
+        with np.load(path, allow_pickle=False) as data:
+            assert not [k for k in data.files if k.startswith("index_slot")]
+            header = unpack_header(data)
+        assert "index_slots" not in header
+        assert header["format_version"] == checkpoint.CHECKPOINT_FORMAT_VERSION == 1
 
 
 class TestPipelineCheckpoint:

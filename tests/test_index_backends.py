@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import DiscoveryConfig, IndexConfig
+from repro.config import DiscoveryConfig
 from repro.core.atomicio import pack_header, unpack_header
 from repro.index import (
     BruteForceIndex,
@@ -231,8 +231,6 @@ class TestRetiredKDTree:
     def test_kdtree_is_no_longer_a_choice(self):
         with pytest.raises(ValueError):
             create_index("kdtree", 3)
-        with pytest.raises(ValueError):
-            IndexConfig(backend="kdtree")
         with pytest.raises(ValueError):
             DiscoveryConfig(backend="kdtree")
 

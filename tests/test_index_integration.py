@@ -1,8 +1,8 @@
-"""The index wired through the stack: monitor parity, checkpoints, CLI.
+"""The index wired through the stack: monitor parity, incident database.
 
-The exact (brute) backend must be a drop-in for the historical Python
-scans: the streaming monitor must emit *bit-identical* identification
-events, and the incident database must return identical neighbors.
+The streaming monitor's identification must emit *bit-identical* events
+to the reference scan below, and the incident database's exact (brute)
+index must return the neighbors a linear scan would.
 """
 
 import numpy as np
@@ -10,12 +10,9 @@ import pytest
 
 from repro.config import (
     FingerprintingConfig,
-    IndexConfig,
     SelectionConfig,
     ThresholdConfig,
 )
-from repro.core.atomicio import pack_header, unpack_header
-from repro.core.checkpoint import load_monitor, save_monitor
 from repro.core.identification import Identifier, estimate_threshold_online
 from repro.core.streaming import (
     CrisisEnded,
@@ -25,9 +22,7 @@ from repro.core.streaming import (
 )
 from repro.core.streaming import UNKNOWN
 from repro.incidents import IncidentDatabase
-from repro.index import BruteForceIndex
 from repro.methods import FingerprintMethod
-from tests.test_index_backends import as_kdtree_header
 
 STREAM_CONFIG = FingerprintingConfig(
     selection=SelectionConfig(n_relevant=20),
@@ -106,11 +101,11 @@ def relevant(small_trace):
     return method.relevant
 
 
-def _make(small_trace, relevant, cls=StreamingCrisisMonitor, config=None):
+def _make(small_trace, relevant, cls=StreamingCrisisMonitor):
     return cls(
         n_metrics=small_trace.n_metrics,
         relevant_metrics=relevant,
-        config=config or STREAM_CONFIG,
+        config=STREAM_CONFIG,
         threshold_refresh_epochs=96,
         min_history_epochs=96 * 7,
     )
@@ -129,79 +124,6 @@ class TestMonitorParity:
         matched = [e for e in idents if e.label != UNKNOWN]
         assert len(idents) > 0
         assert len(matched) > 0  # parity on a trivially-unknown stream is vacuous
-
-    def test_lsh_backend_smoke(self, small_trace, relevant):
-        """The approximate backend drives the same protocol end to end."""
-        config = STREAM_CONFIG.with_(index=IndexConfig(backend="lsh"))
-        events = _replay(
-            _make(small_trace, relevant, config=config), small_trace
-        )
-        assert any(isinstance(e, IdentificationUpdate) for e in events)
-
-
-class TestCheckpointWithIndexes:
-    def test_roundtrip_preserves_index_cache(
-        self, small_trace, relevant, tmp_path
-    ):
-        monitor = _make(small_trace, relevant)
-        half = small_trace.n_epochs // 2
-        head = _replay(monitor, small_trace, stop=half)
-        # Threshold refreshes invalidate the cache, so it may be empty at
-        # an arbitrary epoch; build the slot-0 index so the checkpoint
-        # has one to carry.
-        if not monitor._index_cache:
-            monitor._library_index(0)
-        assert monitor._index_cache, "no index to checkpoint"
-        assert any(len(ix) > 0 for ix in monitor._index_cache.values())
-        path = tmp_path / "monitor.npz"
-        save_monitor(monitor, path)
-
-        restored = load_monitor(path, STREAM_CONFIG)
-        assert sorted(restored._index_cache) == sorted(monitor._index_cache)
-        for k, index in monitor._index_cache.items():
-            back = restored._index_cache[k]
-            assert back.ids() == index.ids()
-            assert [back.payload(i) for i in back.ids()] == \
-                [index.payload(i) for i in index.ids()]
-        assert restored._index_labels == monitor._index_labels
-
-        # The restored monitor must continue bit-identically. Diagnoses are
-        # replayed on both sides (operator input is not checkpointed state).
-        tail_original = _replay(monitor, small_trace, start=half)
-        tail_restored = _replay(restored, small_trace, start=half)
-        assert tail_restored == tail_original
-        assert head  # the first half actually exercised the stream
-
-
-    def test_kdtree_index_slots_load_as_brute(
-        self, small_trace, relevant, tmp_path
-    ):
-        """A checkpoint whose slot indexes the retired k-d tree backend
-        wrote restores them as brute indexes with the same answers."""
-        monitor = _make(small_trace, relevant)
-        _replay(monitor, small_trace, stop=small_trace.n_epochs // 2)
-        if not monitor._index_cache:
-            monitor._library_index(0)
-        path = tmp_path / "monitor.npz"
-        save_monitor(monitor, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
-        for k in monitor._index_cache:
-            key = f"index_slot{k}_header"
-            header = unpack_header({"header": arrays[key]})
-            arrays[key] = pack_header(as_kdtree_header(header))
-        np.savez(path, **arrays)
-
-        restored = load_monitor(path, STREAM_CONFIG)
-        assert sorted(restored._index_cache) == sorted(monitor._index_cache)
-        for k, index in monitor._index_cache.items():
-            back = restored._index_cache[k]
-            assert isinstance(back, BruteForceIndex)
-            assert back.ids() == index.ids() and len(back) > 0
-            for i in index.ids():
-                query = index.vector(i)
-                assert back.query(query, k=3) == index.query(query, k=3)
-        assert restored._index_labels == monitor._index_labels
 
 
 class TestIncidentDatabaseIndex:

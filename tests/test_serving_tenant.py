@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.config import ServingConfig
+from repro.core import checkpoint as ckpt_mod
 from repro.core.checkpoint import CheckpointCorruptError, read_checkpoint_extra
 from repro.serving.journal import WriteAheadJournal
 from repro.serving.loadgen import synthetic_batch, synthetic_report
@@ -305,6 +306,26 @@ class TestRecovery:
         assert {
             mid: back.health.staleness(mid) for mid in ("m0", "m1", "m2")
         } == misses
+
+    def test_recovery_opens_the_checkpoint_once(self, tmp_path, monkeypatch):
+        """The monitor and the ``extra`` cursor come from one open archive,
+        whose header is decoded once."""
+        cfg = small_cfg(checkpoint_every_epochs=3)
+        rt = TenantRuntime("t", cfg, tmp_path)
+        drive(rt, 8)  # checkpoints at epochs 3 and 6; journal holds 7
+        expected = rt.state()
+        rt.close()
+        opened = []
+        real = ckpt_mod.read_npz
+
+        def spy(path, *args, **kwargs):
+            opened.append(pathlib.Path(path).name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(ckpt_mod, "read_npz", spy)
+        back = TenantRuntime.recover("t", cfg, tmp_path)
+        assert opened == ["checkpoint.npz"]
+        assert back.state() == expected
 
 
 class TestWrongWidth:
