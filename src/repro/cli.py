@@ -527,7 +527,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     checkpoint_every = (
         args.checkpoint_every
         if args.checkpoint_every is not None
-        else reliability.checkpoint_cadence(clock.per_day)
+        else clock.per_day
     )
 
     if args.resume:

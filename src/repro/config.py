@@ -143,37 +143,14 @@ class ReliabilityConfig:
     The method's inputs degrade exactly when crises happen, so the live
     path quarantines untrustworthy epochs instead of letting them poison
     thresholds or force a misidentification.  ``coverage_floor`` is the
-    minimum fleet-coverage fraction for an epoch summary to be trusted;
-    ``validate_summaries`` runs :func:`repro.telemetry.validation.validate_epoch_summary`
-    on every ingested epoch; ``dead_after_epochs`` is the collector-side
-    circuit breaker (consecutive missed epochs before an agent is declared
-    dead); ``checkpoint_every_epochs`` is the cadence of crash-safe
-    snapshots (:mod:`repro.core.checkpoint`) — ``None`` means one day of
-    epochs under the deployment's epoch clock (resolve it with
-    :meth:`checkpoint_cadence`).
+    minimum fleet-coverage fraction for an epoch summary to be trusted.
     """
 
     coverage_floor: float = 0.5
-    validate_summaries: bool = True
-    dead_after_epochs: int = 4
-    checkpoint_every_epochs: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.coverage_floor <= 1.0:
             raise ValueError("coverage_floor must lie in [0, 1]")
-        if self.dead_after_epochs < 1:
-            raise ValueError("dead_after_epochs must be positive")
-        if (
-            self.checkpoint_every_epochs is not None
-            and self.checkpoint_every_epochs < 1
-        ):
-            raise ValueError("checkpoint_every_epochs must be positive")
-
-    def checkpoint_cadence(self, epochs_per_day: int) -> int:
-        """Epochs between checkpoints, defaulting to one day."""
-        if self.checkpoint_every_epochs is not None:
-            return self.checkpoint_every_epochs
-        return epochs_per_day
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,13 @@ shared columnar core those layers now fill and consume:
     for the serving tenant's pending-epoch buffer, where a re-delivered
     report must overwrite its machine's row idempotently.  Machine ids
     are interned once; rows are reused for the machine's reports in
-    every later epoch.  Values are stored verbatim (the serving summary
-    path defines the NaN semantics downstream).  The keyed surface is a
-    read-only mapping (``len`` / ``in`` / iteration over present
-    machine ids / ``block[machine]``), so call sites that treated the
-    pending buffer as a dict keep working unchanged.
+    every later epoch.  A row keeps what was sent; the tenant's close
+    drops and counts its non-finite entries under the same rule as
+    anonymous rows (:func:`repro.telemetry.quantiles.summarize_epoch`
+    and :func:`repro.telemetry.collector.is_report`).  The keyed
+    surface is a read-only mapping (``len`` / ``in`` / iteration over
+    present machine ids / ``block[machine]``), so call sites that
+    treated the pending buffer as a dict keep working unchanged.
 
 * :class:`WindowBlock` — a preallocated ``(epoch, metric, quantile)``
   rolling window whose :meth:`WindowBlock.view` hands the fingerprint
@@ -176,8 +178,8 @@ class EpochBlock:
     ) -> None:
         """Set one machine's row for this epoch (idempotent overwrite).
 
-        Values are stored verbatim — the serving close path owns the
-        NaN semantics, exactly as the dict buffer it replaces did.
+        Non-finite values are kept as sent; the tenant's close drops and
+        counts them (see the module docstring).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n_metrics,):

@@ -344,16 +344,14 @@ class StreamingCrisisMonitor:
         quality: Optional[EpochQuality],
     ) -> Tuple[str, ...]:
         """Reasons the epoch cannot be trusted (empty tuple = trusted)."""
-        rel = self.reliability
         reasons: List[str] = []
-        if rel.validate_summaries:
-            report = validate_epoch_summary(epoch_quantiles)
-            if not report.ok:
-                reasons.extend(sorted({i.code for i in report.errors}))
+        report = validate_epoch_summary(epoch_quantiles)
+        if not report.ok:
+            reasons.extend(sorted({i.code for i in report.errors}))
         if quality is not None:
             if not quality.quorum_met:
                 reasons.append("quorum-failed")
-            if quality.coverage < rel.coverage_floor:
+            if quality.coverage < self.reliability.coverage_floor:
                 reasons.append("low-coverage")
         return tuple(reasons)
 

@@ -16,11 +16,7 @@ See ``docs/fleet.md`` for architecture, shard sizing, and the
 straggler/quorum semantics.
 """
 
-from repro.fleet.coordinator import (
-    FleetAggregator,
-    FleetCollectionPipeline,
-    FleetEpochQuality,
-)
+from repro.fleet.coordinator import FleetAggregator, FleetEpochQuality
 from repro.fleet.partial import ShardFolder, ShardPartial, merge_partials
 from repro.fleet.planner import (
     ShardPlan,
@@ -32,7 +28,6 @@ from repro.fleet.planner import (
 
 __all__ = [
     "FleetAggregator",
-    "FleetCollectionPipeline",
     "FleetEpochQuality",
     "ShardFolder",
     "ShardPartial",

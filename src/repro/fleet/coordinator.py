@@ -35,8 +35,8 @@ from repro.fleet.partial import ShardPartial, merge_partials
 from repro.fleet.planner import ShardPlan, iter_batches, plan_shards, stable_shard
 from repro.fleet.worker import worker_main
 from repro.telemetry.chaos import ShardChaosConfig
-from repro.telemetry.collector import EpochQuality, EpochSummary, MachineAgent
-from repro.telemetry.reliability import AgentHealthTracker, QuorumPolicy
+from repro.telemetry.collector import EpochQuality, EpochSummary
+from repro.telemetry.reliability import QuorumPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -383,74 +383,7 @@ class FleetAggregator:
         self._epoch += 1
 
 
-class FleetCollectionPipeline:
-    """Agents + health tracking + sharded aggregation for a whole fleet.
-
-    The fleet-scale counterpart of
-    :class:`repro.telemetry.collector.CollectionPipeline`: identical
-    agent buffering and circuit-breaker bookkeeping, with the reduction
-    fanned out across the worker pool.  With ``config.n_shards == 1`` and
-    ``mode="exact"`` its summaries are bit-identical to the
-    single-process pipeline on the same reports (proven by
-    ``tests/test_fleet_parity.py``).
-    """
-
-    def __init__(
-        self,
-        machine_ids: Sequence[str],
-        metric_names: Sequence[str],
-        quantiles: Sequence[float] = (0.25, 0.50, 0.95),
-        config: FleetConfig = FleetConfig(),
-        strict: bool = False,
-        quorum: Optional[QuorumPolicy] = None,
-        dead_after: int = 4,
-        chaos: Optional[ShardChaosConfig] = None,
-    ):
-        if not machine_ids:
-            raise ValueError("need at least one machine")
-        self.agents: Dict[str, MachineAgent] = {
-            mid: MachineAgent(mid, metric_names, strict=strict)
-            for mid in machine_ids
-        }
-        self.health = AgentHealthTracker(machine_ids, dead_after=dead_after)
-        self.aggregator = FleetAggregator(
-            metric_names,
-            machine_ids=machine_ids,
-            quantiles=quantiles,
-            config=config,
-            quorum=quorum,
-            chaos=chaos,
-        )
-
-    def __enter__(self) -> "FleetCollectionPipeline":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        self.aggregator.shutdown()
-
-    def close_epoch(self) -> EpochSummary:
-        """Flush every agent into the sharded aggregator; emit the summary."""
-        epoch = self.aggregator.epoch
-        for mid, agent in self.agents.items():
-            self.aggregator.note_dropped(agent.dropped_samples)
-            report = agent.flush()
-            if not np.all(np.isnan(report)):
-                self.aggregator.submit(report, machine_id=mid)
-                self.health.observe_report(mid, epoch)
-        self.health.close_epoch(epoch)
-        # Coverage is judged against the breaker-adjusted fleet.
-        self.aggregator.fleet_size = max(self.health.expected_fleet, 1)
-        return self.aggregator.close_epoch(
-            n_stale_agents=self.health.n_stale,
-            n_dead_agents=self.health.n_dead,
-        )
-
-
 __all__ = [
     "FleetAggregator",
-    "FleetCollectionPipeline",
     "FleetEpochQuality",
 ]

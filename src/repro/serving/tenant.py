@@ -38,6 +38,7 @@ reports for the open epoch survive the compaction that follows.
 
 from __future__ import annotations
 
+import itertools
 import pathlib
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -55,10 +56,10 @@ from repro.core.columnar import EpochBlock
 from repro.core.streaming import StreamingCrisisMonitor
 from repro.serving.journal import WriteAheadJournal
 from repro.serving.wire import event_to_wire, report_as_batch
-from repro.telemetry.collector import EpochQuality
+from repro.telemetry.collector import EpochQuality, close_health, is_report
 from repro.telemetry.epochs import EpochClock
 from repro.telemetry.quantiles import summarize_epoch
-from repro.telemetry.reliability import AgentHealthTracker
+from repro.telemetry.reliability import AgentHealthTracker, QuorumPolicy
 
 #: Apply statuses, also used as ack detail on the wire.
 APPLIED = "applied"
@@ -178,6 +179,8 @@ class TenantRuntime:
         #: working, and re-delivered reports still overwrite by
         #: machine id.
         self.pending = EpochBlock(cfg.n_metrics)
+        #: The collector's default quorum: one report summarizes.
+        self.quorum = QuorumPolicy(min_fraction=0.0, min_count=1)
 
     # -- record application (live path AND replay path) --------------------
 
@@ -238,29 +241,37 @@ class TenantRuntime:
 
     def _apply_report_batch(self, record: dict) -> None:
         machines = record["machines"]
+        values = np.asarray(record["values"], dtype=float)
         if self.health is None:
             self.health = AgentHealthTracker(list(machines))
         else:
             for machine in machines:
                 self.health.add_agent(machine)
         epoch = record["epoch"]
-        for machine in machines:
+        for machine in itertools.compress(machines, is_report(values)):
             self.health.observe_report(machine, epoch)
-        self.pending.put_batch(
-            machines,
-            np.asarray(record["values"], dtype=float),
-            record["violations"],
-        )
+        self.pending.put_batch(machines, values, record["violations"])
 
     def _apply_close(self, record: dict) -> List[dict]:
         epoch = record["epoch"]
         nq = len(self.cfg.quantiles)
-        if len(self.pending):
-            # One gather out of the block; the column sort inside
-            # summarize_epoch makes machine order irrelevant, and a mean
-            # of 0/1 floats is exact, so this is bit-identical to the
-            # historical dict-of-lists stacking.
-            samples, violations = self.pending.gather()
+        samples, violations = self.pending.gather()
+        # A machine's last delivery is its report, unless nothing in it
+        # is finite.
+        reported = is_report(samples)
+        if not reported.all():
+            samples, violations = samples[reported], violations[reported]
+        if self.health is None:
+            # No machine has ever reported: the fleet is unknown.
+            fleet, n_stale, n_dead = None, 0, 0
+        else:
+            fleet, n_stale, n_dead = close_health(self.health, epoch)
+        n = len(samples)
+        quorum_met = self.quorum.met(n, fleet)
+        if quorum_met and n:
+            # Non-finite entries are missing samples, dropped for their
+            # metric alone; the column sort makes machine order
+            # irrelevant, and a mean of 0/1 floats is exact.
             summary = summarize_epoch(samples, self.cfg.quantiles)
             violation = float(violations.astype(float).mean())
         else:
@@ -269,22 +280,14 @@ class TenantRuntime:
             # rather than poisoning thresholds.
             summary = np.full((self.cfg.n_metrics, nq), np.nan)
             violation = 0.0
-        if self.health is not None:
-            self.health.close_epoch(epoch)
-            fleet = self.health.expected_fleet
-        else:
-            fleet = 0
         quality = EpochQuality(
             epoch=epoch,
-            n_reporting=len(self.pending),
-            fleet_size=fleet if fleet > 0 else None,
-            n_stale_agents=(
-                self.health.n_stale if self.health is not None else 0
-            ),
-            n_dead_agents=(
-                self.health.n_dead if self.health is not None else 0
-            ),
-            quorum_met=len(self.pending) > 0,
+            n_reporting=n,
+            fleet_size=fleet,
+            dropped_samples=int(samples.size - np.isfinite(samples).sum()),
+            n_stale_agents=n_stale,
+            n_dead_agents=n_dead,
+            quorum_met=quorum_met,
         )
         raw = self.monitor.ingest(summary, violation, quality)
         wire_events = [event_to_wire(e) for e in raw]
@@ -300,19 +303,6 @@ class TenantRuntime:
         return wire_events
 
     # -- durability --------------------------------------------------------
-
-    def _health_state(self) -> Optional[dict]:
-        if self.health is None:
-            return None
-        return {
-            mid: {
-                "misses": state.consecutive_misses,
-                "last": state.last_report_epoch,
-                "trips": state.trips,
-                "reported": state.reported_this_epoch,
-            }
-            for mid, state in self.health._agents.items()
-        }
 
     def checkpoint(self) -> None:
         """Snapshot monitor + journal cursor atomically, then compact.
@@ -337,7 +327,7 @@ class TenantRuntime:
             "applied_seq": self.applied_seq,
             "next_epoch": self.next_epoch,
             "compacted_through": floor,
-            "health": self._health_state(),
+            "health": None if self.health is None else self.health.to_dict(),
             "events": self.event_log,
             # The block serializes to the historical dict form, so old
             # and new checkpoints stay mutually loadable.
@@ -407,16 +397,7 @@ class TenantRuntime:
                 )
             health = extra.get("health")
             if health:
-                tracker = AgentHealthTracker(list(health))
-                for mid, state in health.items():
-                    agent = tracker._agents[mid]
-                    agent.consecutive_misses = int(state["misses"])
-                    agent.last_report_epoch = state["last"]
-                    agent.trips = int(state["trips"])
-                    agent.reported_this_epoch = bool(
-                        state.get("reported", False)
-                    )
-                runtime.health = tracker
+                runtime.health = AgentHealthTracker.from_dict(health)
             # The compacted journal may be empty while the checkpoint
             # cursor is far along; pin the seq high-water mark so fresh
             # appends can never reuse sequence numbers at or below it

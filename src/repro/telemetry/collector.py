@@ -29,7 +29,7 @@ sketch paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -327,13 +327,42 @@ class EpochAggregator:
         return summary
 
 
+def is_report(values: np.ndarray) -> "np.ndarray | bool":
+    """Whether a machine's epoch values are a report (per row of a matrix).
+
+    Values with a finite entry are a report.  Values with none are no
+    report: the machine is silent this epoch and accrues a miss.
+    """
+    return np.isfinite(values).any(axis=-1)
+
+
+def close_health(
+    health: AgentHealthTracker, epoch: int
+) -> Tuple[int, int, int]:
+    """Close ``health``'s epoch; the fleet the epoch is judged against.
+
+    Returns ``(fleet_size, n_stale_agents, n_dead_agents)``.  The fleet
+    is the breaker-adjusted one (at least one agent), so coverage (and
+    therefore quorum) reflects machines that *should* be reporting, not
+    long-dead ones.  :class:`CollectionPipeline` and the serving tenant
+    both close their epochs through here and :func:`is_report`.
+    """
+    health.close_epoch(epoch)
+    return max(health.expected_fleet, 1), health.n_stale, health.n_dead
+
+
 class CollectionPipeline:
-    """Agents plus aggregator for a whole fleet, driven epoch by epoch.
+    """Agents plus an aggregator for a whole fleet, driven epoch by epoch.
 
     Tracks per-agent health: machines silent for ``dead_after``
     consecutive epochs trip their circuit breaker and leave the expected
-    fleet, so coverage (and therefore quorum) reflects machines that
-    *should* be reporting, not long-dead ones.
+    fleet (see :func:`close_health`).
+
+    ``aggregator`` is the reduction the agents' reports feed.  By
+    default it is an :class:`EpochAggregator` built from ``quantiles``,
+    ``mode`` and ``quorum``; pass a
+    :class:`repro.fleet.FleetAggregator` to fan the reduction out across
+    worker processes (the pipeline does not shut it down).
     """
 
     def __init__(
@@ -345,6 +374,7 @@ class CollectionPipeline:
         strict: bool = False,
         quorum: Optional[QuorumPolicy] = None,
         dead_after: int = 4,
+        aggregator=None,
     ):
         if not machine_ids:
             raise ValueError("need at least one machine")
@@ -353,10 +383,12 @@ class CollectionPipeline:
             for mid in machine_ids
         }
         self.health = AgentHealthTracker(machine_ids, dead_after=dead_after)
-        self.aggregator = EpochAggregator(
-            metric_names, quantiles=quantiles, mode=mode,
-            fleet_size=len(machine_ids), quorum=quorum,
-        )
+        if aggregator is None:
+            aggregator = EpochAggregator(
+                metric_names, quantiles=quantiles, mode=mode,
+                fleet_size=len(machine_ids), quorum=quorum,
+            )
+        self.aggregator = aggregator
 
     def close_epoch(self) -> EpochSummary:
         """Flush every agent into the aggregator and emit the summary."""
@@ -364,22 +396,23 @@ class CollectionPipeline:
         for mid, agent in self.agents.items():
             self.aggregator.note_dropped(agent.dropped_samples)
             report = agent.flush()
-            if not np.all(np.isnan(report)):
+            if is_report(report):
                 self.aggregator.submit(report)
                 self.health.observe_report(mid, epoch)
-        self.health.close_epoch(epoch)
-        # Coverage is judged against the breaker-adjusted fleet.
-        self.aggregator.fleet_size = max(self.health.expected_fleet, 1)
+        self.aggregator.fleet_size, n_stale, n_dead = close_health(
+            self.health, epoch
+        )
         return self.aggregator.close_epoch(
-            n_stale_agents=self.health.n_stale,
-            n_dead_agents=self.health.n_dead,
+            n_stale_agents=n_stale, n_dead_agents=n_dead,
         )
 
 
 __all__ = [
     "CollectionPipeline",
+    "close_health",
     "EpochAggregator",
     "EpochQuality",
     "EpochSummary",
     "MachineAgent",
+    "is_report",
 ]

@@ -25,23 +25,17 @@ def empirical_quantiles(values: np.ndarray, quantiles: Sequence[float]) -> np.nd
 
     Uses the order-statistic definition from Section 3.2 of the paper
     (``N*p``-th ordered value) rather than interpolation, so results are
-    always actual observed values.  NaN samples (machines that failed to
-    report) are dropped; an all-NaN or empty sample raises ValueError.
+    always actual observed values.  Non-finite samples (NaN from machines
+    that failed to report, ±inf from garbage counters) are dropped; a
+    sample with no finite value raises ValueError.
     """
-    arr = np.asarray(values, dtype=float).ravel()
-    arr = arr[~np.isnan(arr)]
-    if arr.size == 0:
-        raise ValueError("cannot take quantiles of an empty sample")
-    arr = np.sort(arr)
-    out = np.empty(len(quantiles), dtype=float)
-    n = arr.size
-    for i, q in enumerate(quantiles):
+    for q in quantiles:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        # ceil(n*q) as a 1-based rank, clipped to [1, n].
-        rank = min(max(int(np.ceil(n * q)), 1), n)
-        out[i] = arr[rank - 1]
-    return out
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    if not np.isfinite(column).any():
+        raise ValueError("cannot take quantiles of an empty sample")
+    return summarize_epoch(column, quantiles)[0]
 
 
 def quantile_ranks(
@@ -55,10 +49,10 @@ def quantile_ranks(
     of per-metric counts, giving ``(n_metrics, n_quantiles)``.  A zero
     count gives index 0; callers mask metrics nobody observed.
 
-    This is the one vectorized form of the rule: :func:`summarize_epoch`,
-    :func:`summarize_chunk`, :func:`masked_quantiles` and the fleet
-    coordinator's partial merge all take their ranks from it, so they
-    are bit-identical by construction.
+    This is the one vectorized form of the rule: :func:`masked_quantiles`
+    (and so :func:`summarize_epoch`), :func:`summarize_chunk` and the
+    fleet coordinator's partial merge all take their ranks from it, so
+    they are bit-identical by construction.
     """
     counts = np.asarray(counts)
     qs = np.asarray(quantiles, dtype=float)
@@ -71,6 +65,12 @@ def summarize_epoch(
 ) -> np.ndarray:
     """Summarize one epoch of per-machine samples into quantiles per metric.
 
+    Each metric's quantiles are taken over its finite samples only: a NaN
+    (a machine that did not report the metric) or ±inf (a garbage
+    counter) is a missing sample, dropped for that metric alone, and a
+    metric with no finite sample comes back NaN.  This is the collector's
+    rule, computed by the same kernel (:func:`masked_quantiles`).
+
     Parameters
     ----------
     samples:
@@ -80,21 +80,21 @@ def summarize_epoch(
 
     Returns
     -------
-    Array of shape ``(n_metrics, n_quantiles)``.  The result owns a fresh
-    ``(n_quantiles, n_metrics)`` gather and is returned as its transpose
-    view — the big sorted matrix is never retained.
+    Array of shape ``(n_metrics, n_quantiles)``.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("samples must be (n_machines, n_metrics)")
-    n_machines, n_metrics = samples.shape
-    if n_machines == 0:
+    if samples.shape[0] == 0:
         raise ValueError("need at least one machine")
-    ordered = np.sort(samples, axis=0)
-    ranks = quantile_ranks(n_machines, quantiles)
-    # Advanced indexing already yields a fresh (n_quantiles, n_metrics)
-    # array; .T is a constant-time view of it, so no copy is needed.
-    return ordered[ranks, :].T
+    finite = np.isfinite(samples)
+    counts = finite.sum(axis=0)
+    # A column-major copy, so the in-place sort runs down contiguous
+    # columns; the caller's array is never touched.
+    masked = np.array(samples, order="F")
+    if counts.sum() < samples.size:
+        masked[~finite] = np.nan
+    return masked_quantiles(masked, quantiles, counts=counts, overwrite=True)
 
 
 def masked_quantiles(
@@ -105,13 +105,16 @@ def masked_quantiles(
 ) -> np.ndarray:
     """NaN-aware per-metric quantiles of one epoch in single numpy passes.
 
-    Each metric's quantiles are taken over its *observed* (non-NaN)
-    samples only, using the same ``ceil(n*p)`` order-statistic rule as
-    :func:`summarize_epoch` — and coinciding with it bit-for-bit when a
-    metric has no gaps.  Metrics with zero observations yield NaN.
+    The one order-statistic kernel for an epoch's machines × metrics
+    matrix: the collector's aggregator and the serving tenant (through
+    :func:`summarize_epoch`) both close an epoch here.  Each metric's
+    quantiles are taken over its *observed* (non-NaN) samples only,
+    using the paper's ``ceil(n*p)`` order-statistic rule.  Metrics with
+    zero observations yield NaN.
 
-    One sort (NaN sorts last) plus one vectorized rank gather.  Callers
-    must pre-mask ``±inf`` to NaN (as every ingestion path does): infinities
+    One sort (NaN sorts last) plus one rank gather.  Callers must
+    pre-mask ``±inf`` to NaN, as every ingestion path does (the epoch
+    block on ingest, :func:`summarize_epoch` on its copy): infinities
     are not counted as observations but would otherwise occupy sort
     slots ahead of the NaN tail.
 
@@ -135,7 +138,7 @@ def masked_quantiles(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("samples must be (n_machines, n_metrics)")
-    n_metrics = samples.shape[1]
+    n_machines, n_metrics = samples.shape
     if counts is None:
         counts = np.isfinite(samples).sum(axis=0)
     if overwrite:
@@ -143,6 +146,10 @@ def masked_quantiles(
         ordered = samples
     else:
         ordered = np.sort(samples, axis=0)
+    if (counts == n_machines).all():
+        # No gaps: one rank vector serves every metric.  The gather is a
+        # fresh (n_quantiles, n_metrics) array; .T is a view of it.
+        return ordered[quantile_ranks(n_machines, quantiles), :].T
     ranks = quantile_ranks(counts, quantiles)
     out = ordered[ranks, np.arange(n_metrics)[:, None]]
     out[counts == 0] = np.nan

@@ -183,6 +183,39 @@ class AgentHealthTracker:
     def __contains__(self, machine_id: str) -> bool:
         return machine_id in self._agents
 
+    def to_dict(self) -> Dict[str, dict]:
+        """Every agent's counters, JSON-ready, keyed by machine id.
+
+        The serving tenant's checkpoint form: ``misses``, ``last``
+        (last reported epoch or ``None``), ``trips`` and ``reported``
+        (this epoch) per agent, in admission order.  ``dead_after`` and
+        ``stale_after`` are not stored.
+        """
+        return {
+            mid: {
+                "misses": state.consecutive_misses,
+                "last": state.last_report_epoch,
+                "trips": state.trips,
+                "reported": state.reported_this_epoch,
+            }
+            for mid, state in self._agents.items()
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, dict]) -> "AgentHealthTracker":
+        """The tracker :meth:`to_dict` wrote, with default thresholds.
+
+        A missing ``reported`` (older checkpoints) reads as ``False``.
+        """
+        tracker = cls(list(data))
+        for mid, state in data.items():
+            agent = tracker._agents[mid]
+            agent.consecutive_misses = int(state["misses"])
+            agent.last_report_epoch = state["last"]
+            agent.trips = int(state["trips"])
+            agent.reported_this_epoch = bool(state.get("reported", False))
+        return tracker
+
     def add_agent(self, machine_id: str) -> None:
         """Admit a machine discovered after construction (idempotent).
 

@@ -95,8 +95,8 @@ class TestEpochBlockKeyed:
         assert block["m0"] == ([2.0, 2.0], False)
 
     def test_values_stored_verbatim(self):
-        # Keyed rows do NOT NaN-mask: the serving close path owns the
-        # NaN semantics, exactly like the dict buffer it replaced.
+        # Keyed rows do NOT NaN-mask on put: the tenant's close drops and
+        # counts non-finite entries, under the collector's rule.
         block = EpochBlock(3)
         block.put("m0", [np.nan, np.inf, 1.5])
         values, violation = block["m0"]

@@ -3,16 +3,18 @@
 ``servebench/inproc.py``'s :class:`Tracer` replaces entry points of the
 program by name (``owner.__dict__[attr]``) for a traced replay.  A rename
 in ``src/`` breaks that benchmark, so install the tracer here, and drive
-one identification through it to check that the names it wraps are still
-the ones the monitor calls.
+one identification and one tenant epoch through it to check that the
+names it wraps are still the ones the monitor and the tenant call.
 """
 
 import pathlib
 
 import numpy as np
 
+from repro.config import ServingConfig
 from repro.core import streaming
 from repro.core.streaming import CrisisEnded, StreamingCrisisMonitor
+from repro.serving.tenant import TenantRuntime
 
 SERVEBENCH = pathlib.Path(__file__).resolve().parents[1] / "servebench"
 
@@ -51,3 +53,30 @@ def test_tracer_installs_and_sees_identification(monkeypatch):
     names = set(tracer.names)
     assert {"monitor.ingest", "engine.observe", "ident.fingerprint",
             "ident.threshold"} <= names
+
+
+def test_tracer_sees_the_tenant_close(monkeypatch, tmp_path):
+    # servebench's waterfall rows for the tenant come from these spans; a
+    # close that stopped calling the wrapped names would empty them.
+    monkeypatch.syspath_prepend(str(SERVEBENCH))
+    import inproc
+
+    cfg = ServingConfig(n_metrics=3, n_relevant=2, epoch_minutes=144,
+                        window_days=2)
+    rt = TenantRuntime("t", cfg, tmp_path)
+    tracer = inproc.Tracer()
+    tracer.install()
+    try:
+        rt.apply({
+            "op": "report_batch", "epoch": 0, "machines": ["a", "b"],
+            "values": [[1.0, 2.0, 3.0], [2.0, float("nan"), 1.0]],
+            "violations": [False, True],
+        })
+        rt.apply({"op": "close_epoch", "epoch": 0})
+    finally:
+        tracer.uninstall()
+        rt.close()
+    assert rt.next_epoch == 1
+    assert {"quantiles.summarize", "health", "columnar.put"} <= set(
+        tracer.names
+    )

@@ -1,5 +1,7 @@
 """Tests for the fault-tolerance primitives (agent health, retry, quorum)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,35 @@ class TestAgentHealthTracker:
             AgentHealthTracker(["a"], dead_after=0)
         with pytest.raises(ValueError):
             AgentHealthTracker(["a"], dead_after=2, stale_after=3)
+
+    def test_dict_form_round_trips(self):
+        # The serving checkpoint's JSON form: key order and field names
+        # are a file format, so checkpoints written earlier still load.
+        tracker = AgentHealthTracker(["b", "a"])
+        tracker.add_agent("c")
+        tracker.observe_report("a", 0)
+        for epoch in range(5):
+            tracker.close_epoch(epoch)
+        tracker.observe_report("c", 5)
+        state = tracker.to_dict()
+        assert json.dumps(state["b"]) == (
+            '{"misses": 5, "last": null, "trips": 1, "reported": false}'
+        )
+        assert list(state) == ["b", "a", "c"]
+        assert state["c"] == {
+            "misses": 0, "last": 5, "trips": 1, "reported": True,
+        }
+        back = AgentHealthTracker.from_dict(json.loads(json.dumps(state)))
+        assert back.to_dict() == state
+        assert back.status("b") == "dead" and back.n_dead == 2
+
+    def test_dict_form_without_reported_flag(self):
+        # Checkpoints from before the per-epoch flag was stored.
+        back = AgentHealthTracker.from_dict(
+            {"a": {"misses": 1, "last": 3, "trips": 0}}
+        )
+        assert back.to_dict()["a"]["reported"] is False
+        assert back.status("a") == "stale"
 
 
 class TestRetryPolicySeededJitter:
