@@ -73,7 +73,9 @@ def _add_monitor(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--window-days", type=int, default=30)
     p.add_argument("--coverage-floor", type=float, default=0.5,
                    help="min fleet coverage for an epoch to be trusted")
-    p.add_argument("--checkpoint", help="checkpoint archive path")
+    p.add_argument("--checkpoint",
+                   help="checkpoint head path (its segment files are "
+                        "written beside it)")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    help="epochs between checkpoints "
                         "(default: one day of the trace's epochs)")
@@ -507,7 +509,11 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.config import ReliabilityConfig
-    from repro.core.checkpoint import load_monitor, save_monitor
+    from repro.core.checkpoint import (
+        load_monitor,
+        remove_orphan_segments,
+        save_monitor,
+    )
     from repro.core.streaming import (
         CrisisDetected,
         CrisisEnded,
@@ -535,6 +541,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             print("--resume requires --checkpoint", file=sys.stderr)
             return 1
         monitor = load_monitor(args.checkpoint, config, reliability)
+        # A run killed mid-save leaves segments its head does not name.
+        remove_orphan_segments(args.checkpoint, monitor)
         start = len(monitor.store)
         print(f"resumed from {args.checkpoint} at epoch {start}")
     else:

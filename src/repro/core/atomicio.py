@@ -29,7 +29,7 @@ import struct
 import tempfile
 import zipfile
 import zlib
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Collection, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -151,7 +151,9 @@ class _Members:
         return value
 
 
-def _checked_header(data, path, version: int, kind: Optional[str]) -> dict:
+def _checked_header(
+    data, path, version: Union[int, Collection[int]], kind: Optional[str]
+) -> dict:
     # A missing or undecodable header raises KeyError or ValueError,
     # which read_npz maps like any other damage.
     header = unpack_header(data)
@@ -160,9 +162,11 @@ def _checked_header(data, path, version: int, kind: Optional[str]) -> dict:
             f"{path} header is a {type(header).__name__}, not an object"
         )
     found = header.get("format_version")
-    if found != version:
+    accepted = (version,) if isinstance(version, int) else tuple(version)
+    if found not in accepted:
         raise CheckpointFormatError(
-            f"{path} has unsupported format {found!r} (expected {version})"
+            f"{path} has unsupported format {found!r} (expected "
+            f"{' or '.join(map(str, accepted))})"
         )
     if kind is not None and header.get("kind") != kind:
         raise CheckpointFormatError(
@@ -173,11 +177,12 @@ def _checked_header(data, path, version: int, kind: Optional[str]) -> dict:
 
 @contextlib.contextmanager
 def read_npz(
-    path, version: int, kind: Optional[str] = None
+    path, version: Union[int, Collection[int]], kind: Optional[str] = None
 ) -> Iterator[Tuple[dict, _Members]]:
     """Open an archive and check its header; yields ``(header, data)``.
 
-    ``version`` must equal the header's ``format_version``, and ``kind``,
+    ``version`` (one version, or the versions a reader accepts) must
+    hold the header's ``format_version``, and ``kind``,
     when given, its ``kind``; a mismatch raises
     :class:`CheckpointFormatError`.  A missing file still raises
     ``FileNotFoundError`` (the caller may treat that as "nothing saved

@@ -383,20 +383,23 @@ class RollingThresholdTracker:
 
     # -- history -----------------------------------------------------------
 
-    def _window_slots(self) -> np.ndarray:
+    def _window_slots(self, since: Optional[int]) -> np.ndarray:
         lo = max(self._t - self.window_epochs, 0)
+        if since is not None:
+            lo = max(lo, since)
         return np.arange(lo, self._t) % self.window_epochs
 
-    def values(self) -> np.ndarray:
+    def values(self, since: Optional[int] = None) -> np.ndarray:
         """Every epoch in the window, oldest first: at most
-        ``window_epochs`` rows of shape ``(n_metrics, n_quantiles)``."""
-        return self._ring[self._window_slots()].reshape(
+        ``window_epochs`` rows of shape ``(n_metrics, n_quantiles)``.
+        ``since`` keeps only the epochs numbered ``since`` onward."""
+        return self._ring[self._window_slots(since)].reshape(
             -1, self.n_metrics, self.n_quantiles
         )
 
-    def anomalous_mask(self) -> np.ndarray:
+    def anomalous_mask(self, since: Optional[int] = None) -> np.ndarray:
         """Which rows of :meth:`values` were appended anomalous."""
-        return ~self._alive[self._window_slots()]
+        return ~self._alive[self._window_slots(since)]
 
 
 def fingerprint_from_summaries(

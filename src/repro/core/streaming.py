@@ -157,6 +157,9 @@ class StreamingCrisisMonitor:
         # Opt-in predictive early warning (repro.forecast): observes each
         # ingested epoch to score crisis imminence before the SLA breaks.
         self._forecast = None
+        # The checkpoint this monitor last wrote or loaded, which its next
+        # save extends (repro.core.checkpoint's bookkeeping).
+        self._persisted = None
 
     # -- engine delegation -----------------------------------------------------
 

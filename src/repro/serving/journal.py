@@ -39,11 +39,16 @@ After a checkpoint the applied prefix is dead weight;
 (tmp + fsync + rename + dir fsync, the :mod:`repro.core.atomicio`
 discipline) keeping only records past the checkpoint cursor.  The
 survivors are a byte suffix of the file, copied verbatim: compaction
-reads record headers, never re-encodes a record.
+reads record headers, never re-encodes a record.  The journal keeps the
+sequence number and end offset of every intact record (one scan when it
+opens an existing file, then extended by each append), so compaction
+finds its cut by bisection and reads and CRC-checks only the suffix it
+keeps.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import pathlib
@@ -191,17 +196,29 @@ class WriteAheadJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "ab")
         self._last_seq: Optional[int] = None
+        # Seq (0 for none) and end offset of every intact record, in file
+        # order; None until the first scan of the file.
+        self._seqs: Optional[List[int]] = None
+        self._ends: List[int] = []
 
     # -- write path --------------------------------------------------------
+
+    def _index(self) -> List[int]:
+        """The record seqs, scanning the file on first use."""
+        if self._seqs is None:
+            self._seqs, self._ends = [], []
+            for record, end in self._scan(values=False):
+                self._seqs.append(record.get("seq", 0))
+                self._ends.append(end)
+        return self._seqs
 
     @property
     def last_seq(self) -> int:
         """Highest sequence number ever journaled (0 when empty)."""
         if self._last_seq is None:
-            last = 0
-            for record, _ in self._scan(values=False):
-                last = record.get("seq", last)
-            self._last_seq = last
+            self._last_seq = next(
+                (seq for seq in reversed(self._index()) if seq), 0
+            )
         return self._last_seq
 
     def reserve_seq(self, floor: int) -> None:
@@ -232,6 +249,7 @@ class WriteAheadJournal:
             return []
         if self.fence_check is not None:
             self.fence_check()
+        index = self._index()
         first = self.last_seq + 1
         seqs = list(range(first, first + len(records)))
         frames = [
@@ -273,6 +291,11 @@ class WriteAheadJournal:
             raise
         for record, seq in zip(records[:written], seqs):
             record["seq"] = seq
+        end = start
+        for frame, seq in zip(frames[:written], seqs):
+            end += len(frame)
+            index.append(seq)
+            self._ends.append(end)
         if written < len(frames):
             self._last_seq = seqs[written] - 1
             raise JournalTornWrite(
@@ -287,8 +310,11 @@ class WriteAheadJournal:
 
     # -- read path ---------------------------------------------------------
 
-    def _scan(self, values: bool = True) -> Iterator[Tuple[dict, int]]:
-        """Yield ``(record, end_offset)`` for every intact record.
+    def _scan(
+        self, values: bool = True, start: int = 0
+    ) -> Iterator[Tuple[dict, int]]:
+        """Yield ``(record, end_offset)`` for every intact record from
+        byte ``start`` (a record boundary) on.
 
         Stops silently at a torn tail (short prefix, short payload, or
         CRC mismatch *at the end of the file* — the shape a crash
@@ -301,7 +327,7 @@ class WriteAheadJournal:
         self._fh.flush()
         with open(self.path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            offset = 0
+            offset = fh.seek(start)
             while True:
                 prefix = fh.read(_PREFIX.size)
                 if len(prefix) < _PREFIX.size:
@@ -376,12 +402,15 @@ class WriteAheadJournal:
         torn one.  Called after a successful checkpoint, whose cursor
         makes the applied prefix redundant.
         """
-        cut = end = kept = 0
-        for record, end in self._scan(values=False):
-            if not kept and record.get("seq", 0) <= applied_seq:
-                cut = end
-            else:
-                kept += 1
+        seqs = self._index()
+        first = bisect.bisect_right(seqs, applied_seq)
+        cut = self._ends[first - 1] if first else 0
+        # Re-read only the suffix, so a damaged record is never copied.
+        kept_seqs, kept_ends = [], []
+        for record, end in self._scan(values=False, start=cut):
+            kept_seqs.append(record.get("seq", 0))
+            kept_ends.append(end - cut)
+        end = cut + kept_ends[-1] if kept_ends else cut
         fd, tmp = tempfile.mkstemp(
             dir=self.path.parent, suffix=".wal.tmp"
         )
@@ -394,6 +423,7 @@ class WriteAheadJournal:
                 os.fsync(fh.fileno())
             self._fh.close()
             os.replace(tmp, self.path)
+            self._seqs, self._ends = kept_seqs, kept_ends
             fsync_dir(self.path.parent)
         except BaseException:
             try:
@@ -404,7 +434,7 @@ class WriteAheadJournal:
         finally:
             if self._fh.closed:
                 self._fh = open(self.path, "ab")
-        return kept
+        return len(kept_seqs)
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -27,13 +27,15 @@ recovery meets the ``report`` records of older journals, and converts
 them with the parser's own :func:`~repro.serving.wire.report_as_batch`.
 
 **Checkpoint cadence.**  Every ``checkpoint_every_epochs`` closed
-epochs, the runtime snapshots the monitor atomically with the journal
-cursor, agent-health counters, the retained event log, and the
-open epoch's pending report buffer in the header's ``extra`` — one
-file, one rename — then compacts the journal down to the unapplied
-suffix.  Checkpointing mid-epoch (graceful shutdown) is safe: the
-pending buffer rides inside the snapshot, so journaled-and-acked
-reports for the open epoch survive the compaction that follows.
+epochs, the runtime checkpoints the monitor with the journal cursor,
+agent-health counters, the retained event log, and the open epoch's
+pending report buffer in the head's ``extra`` — appended segments plus
+one head rename (:mod:`repro.core.checkpoint`) — then compacts the
+journal down to the unapplied suffix.  Checkpointing mid-epoch
+(graceful shutdown) is safe: the pending buffer rides inside the head,
+so journaled-and-acked reports for the open epoch survive the
+compaction that follows.  A tenant's durable state is its whole
+directory: journal, head and segments.
 """
 
 from __future__ import annotations
@@ -327,7 +329,6 @@ class TenantRuntime:
             "applied_seq": self.applied_seq,
             "next_epoch": self.next_epoch,
             "compacted_through": floor,
-            "health": None if self.health is None else self.health.to_dict(),
             "events": self.event_log,
             # The block serializes to the historical dict form, so old
             # and new checkpoints stay mutually loadable.
@@ -336,6 +337,9 @@ class TenantRuntime:
                 for machine, (values, violation) in self.pending.items()
             },
         }
+        if self.health is not None:
+            # Columns, stored as raw arrays beside the JSON header.
+            extra.update(self.health.to_arrays(prefix="health_"))
         ckpt.save_monitor(self.monitor, self.checkpoint_path, extra=extra)
         self.journal.compact(floor)
         self.compacted_through = floor
@@ -360,11 +364,12 @@ class TenantRuntime:
         quarantines the tenant rather than crashing the service.
 
         A ``kill -9`` between a write's ``mkstemp`` and its rename
-        leaves the temp file of a checkpoint (``tmp*.tmp``) or of a
+        leaves the temp file of a checkpoint head (``tmp*.tmp``) or of a
         journal compaction (``tmp*.wal.tmp``) behind, a whole copy of
-        either; recovery deletes them first.  One process owns a tenant
-        directory and recovery runs before any write, so every such file
-        is an orphan.
+        either; one during a checkpoint can also leave segment files the
+        head does not name.  Recovery deletes them.  One process owns a
+        tenant directory and recovery runs before any write, so every
+        such file is an orphan.
         """
         runtime = cls(
             tenant, cfg, root,
@@ -395,14 +400,25 @@ class TenantRuntime:
                 runtime.pending.put(
                     machine, entry["values"], entry["violation"]
                 )
-            health = extra.get("health")
-            if health:
-                runtime.health = AgentHealthTracker.from_dict(health)
+            if "health_ids" in extra:
+                runtime.health = AgentHealthTracker.from_arrays(
+                    extra, prefix="health_"
+                )
+            elif extra.get("health"):
+                # Checkpoints before the columns held a JSON map.
+                runtime.health = AgentHealthTracker.from_dict(
+                    extra["health"]
+                )
             # The compacted journal may be empty while the checkpoint
             # cursor is far along; pin the seq high-water mark so fresh
             # appends can never reuse sequence numbers at or below it
             # (replay would silently skip them on the next recovery).
             runtime.journal.reserve_seq(runtime.applied_seq)
+            ckpt.remove_orphan_segments(
+                runtime.checkpoint_path, runtime.monitor
+            )
+        else:
+            ckpt.remove_orphan_segments(runtime.checkpoint_path)
         # A torn tail is the expected signature of a crash mid-append;
         # everything past the last intact record was never acked.
         runtime.journal.truncate_tail()

@@ -348,7 +348,8 @@ def close_health(
     both close their epochs through here and :func:`is_report`.
     """
     health.close_epoch(epoch)
-    return max(health.expected_fleet, 1), health.n_stale, health.n_dead
+    n_stale, n_dead = health.counts()
+    return max(health.n_agents - n_dead, 1), n_stale, n_dead
 
 
 class CollectionPipeline:

@@ -20,8 +20,9 @@ system under observation is degrading:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -31,6 +32,9 @@ STALE = "stale"
 DEAD = "dead"
 
 T = TypeVar("T")
+
+#: Columns of :meth:`AgentHealthTracker.to_arrays`'s counter matrix.
+HEALTH_COLUMNS = ("misses", "last", "trips", "reported")
 
 
 @dataclass(frozen=True)
@@ -183,29 +187,67 @@ class AgentHealthTracker:
     def __contains__(self, machine_id: str) -> bool:
         return machine_id in self._agents
 
-    def to_dict(self) -> Dict[str, dict]:
-        """Every agent's counters, JSON-ready, keyed by machine id.
+    def to_arrays(self, prefix: str = "") -> Dict[str, np.ndarray]:
+        """Every agent's counters as columns, in admission order.
 
-        The serving tenant's checkpoint form: ``misses``, ``last``
-        (last reported epoch or ``None``), ``trips`` and ``reported``
-        (this epoch) per agent, in admission order.  ``dead_after`` and
-        ``stale_after`` are not stored.
+        The serving tenant's checkpoint form, two arrays:
+        ``<prefix>ids``, the machine ids as a UTF-8 JSON list (so any id
+        round-trips exactly), and ``<prefix>counters``, an int64 matrix
+        with one row per agent and the columns :data:`HEALTH_COLUMNS`:
+        consecutive misses, last reported epoch (-1 for none), breaker
+        trips, and whether it reported this epoch (0/1).
+        ``dead_after`` and ``stale_after`` are not stored.
         """
+        ids = json.dumps(list(self._agents), separators=(",", ":"))
+        counters = np.array(
+            [
+                (s.consecutive_misses,
+                 -1 if s.last_report_epoch is None else s.last_report_epoch,
+                 s.trips, s.reported_this_epoch)
+                for s in self._agents.values()
+            ],
+            dtype=np.int64,
+        ).reshape(-1, len(HEALTH_COLUMNS))
         return {
-            mid: {
-                "misses": state.consecutive_misses,
-                "last": state.last_report_epoch,
-                "trips": state.trips,
-                "reported": state.reported_this_epoch,
-            }
-            for mid, state in self._agents.items()
+            f"{prefix}ids": np.frombuffer(ids.encode("utf-8"), np.uint8),
+            f"{prefix}counters": counters,
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, dict]) -> "AgentHealthTracker":
-        """The tracker :meth:`to_dict` wrote, with default thresholds.
+    def from_arrays(
+        cls, arrays: Dict[str, np.ndarray], prefix: str = ""
+    ) -> "AgentHealthTracker":
+        """The tracker :meth:`to_arrays` wrote, with default thresholds.
 
-        A missing ``reported`` (older checkpoints) reads as ``False``.
+        Raises ``ValueError`` when the ids and counters do not line up.
+        """
+        ids = json.loads(bytes(arrays[f"{prefix}ids"]).decode("utf-8"))
+        counters = arrays[f"{prefix}counters"]
+        if (
+            not isinstance(ids, list)
+            or counters.shape != (len(ids), len(HEALTH_COLUMNS))
+        ):
+            raise ValueError("agent-health ids and counters do not line up")
+        tracker = cls(ids)
+        if tracker.n_agents != len(ids):
+            raise ValueError("agent-health ids repeat")
+        for state, (misses, last, trips, reported) in zip(
+            tracker._agents.values(), counters.tolist()
+        ):
+            state.consecutive_misses = misses
+            state.last_report_epoch = None if last < 0 else last
+            state.trips = trips
+            state.reported_this_epoch = bool(reported)
+        return tracker
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, dict]) -> "AgentHealthTracker":
+        """A tracker from the JSON map older tenant checkpoints hold.
+
+        Keyed by machine id in admission order, each agent's ``misses``,
+        ``last`` (last reported epoch or ``None``), ``trips`` and
+        ``reported``; a missing ``reported`` (older still) reads as
+        ``False``.  Default thresholds.
         """
         tracker = cls(list(data))
         for mid, state in data.items():
@@ -262,8 +304,17 @@ class AgentHealthTracker:
         """Consecutive epochs the agent has been silent."""
         return self._agents[machine_id].consecutive_misses
 
-    def _count(self, status: str) -> int:
-        return sum(self.status(mid) == status for mid in self._agents)
+    def counts(self) -> Tuple[int, int]:
+        """``(n_stale, n_dead)`` from one pass over the agents."""
+        stale = dead = 0
+        stale_after, dead_after = self.stale_after, self.dead_after
+        for state in self._agents.values():
+            misses = state.consecutive_misses
+            if misses >= dead_after:
+                dead += 1
+            elif misses >= stale_after:
+                stale += 1
+        return stale, dead
 
     @property
     def n_agents(self) -> int:
@@ -271,15 +322,16 @@ class AgentHealthTracker:
 
     @property
     def n_healthy(self) -> int:
-        return self._count(HEALTHY)
+        stale, dead = self.counts()
+        return self.n_agents - stale - dead
 
     @property
     def n_stale(self) -> int:
-        return self._count(STALE)
+        return self.counts()[0]
 
     @property
     def n_dead(self) -> int:
-        return self._count(DEAD)
+        return self.counts()[1]
 
     @property
     def expected_fleet(self) -> int:
@@ -297,6 +349,7 @@ __all__ = [
     "AgentHealthTracker",
     "DEAD",
     "HEALTHY",
+    "HEALTH_COLUMNS",
     "QuorumPolicy",
     "RetryPolicy",
     "STALE",

@@ -13,16 +13,24 @@ The writer stores members uncompressed; archives written before that
 were deflated and must keep loading, so the fuzz damages both forms,
 and the loaders (replay pipeline included) must load a deflated
 archive to the same state as a stored one.
+
+A monitor checkpoint is a head archive plus segment files beside it; a
+damaged head is fuzzed with its segments intact, and the segments are
+fuzzed under an intact head.  Damage inside a segment's committed bytes
+is always :class:`~repro.core.atomicio.CheckpointCorruptError`; bytes
+past them are a torn tail and load as if absent.
 """
 
 import io
 import os
+import shutil
 import struct
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
@@ -32,7 +40,11 @@ from repro.config import (
     SelectionConfig,
     ThresholdConfig,
 )
-from repro.core.atomicio import CheckpointCorruptError, CheckpointError
+from repro.core.atomicio import (
+    CheckpointCorruptError,
+    CheckpointError,
+    unpack_header,
+)
 from repro.core.checkpoint import (
     load_monitor,
     load_pipeline,
@@ -40,7 +52,7 @@ from repro.core.checkpoint import (
     save_pipeline,
 )
 from repro.core.pipeline import FingerprintPipeline
-from repro.core.streaming import StreamingCrisisMonitor
+from repro.core.streaming import CrisisEnded, StreamingCrisisMonitor
 from repro.datacenter.sla import KPIDefinition, SLAPolicy
 from repro.datacenter.trace import DatacenterTrace
 from repro.discovery import (
@@ -61,6 +73,81 @@ def _monitor():
     for _ in range(12):
         monitor.ingest(np.sort(rng.normal(size=(4, 3)), axis=1), 0.0)
     return monitor
+
+
+def _monitor_with_library():
+    """A monitor with a stored, diagnosed library and a live crisis."""
+    rng = np.random.default_rng(8)
+    monitor = StreamingCrisisMonitor(
+        n_metrics=4, relevant_metrics=[0, 1],
+        threshold_refresh_epochs=4, min_history_epochs=6,
+    )
+    for _ in range(12):
+        monitor.ingest(np.sort(rng.normal(size=(4, 3)), axis=1), 0.0)
+    for i in range(4):
+        for fraction in (0.5, 0.5, 0.0, 0.0):
+            for event in monitor.ingest(
+                np.sort(rng.normal(size=(4, 3)), axis=1) + 3.0 * fraction,
+                fraction,
+            ):
+                if isinstance(event, CrisisEnded):
+                    monitor.diagnose(event.crisis_number, f"T{i % 2}")
+    monitor.ingest(np.sort(rng.normal(size=(4, 3)), axis=1) + 3.0, 0.5)
+    return monitor
+
+
+def segment_names(head) -> list:
+    """The segment files a monitor head names, with committed sizes."""
+    with np.load(head, allow_pickle=False) as data:
+        seg = unpack_header(data)["segments"]
+    g = seg["generation"]
+    names = [(f"{head.name}.{g}.e{j}.seg", size) for j, size in seg["epochs"]]
+    if seg["crises"]:
+        names.append((f"{head.name}.{g}.crises.seg", seg["crises"]))
+    return names
+
+
+def read_segments(head):
+    """A monitor head's header and its segments' records, parsed from the
+    documented layout independently of the loader: ``(header, [(first
+    epoch, rows, anomalous flags)], [(crisis number, window)])``.  Every
+    record must pass its CRC."""
+    with np.load(head, allow_pickle=False) as data:
+        header = unpack_header(data)
+    shape = (header["n_metrics"], header["n_quantiles"])
+
+    def payloads(name, size):
+        blob = (head.parent / name).read_bytes()[:size]
+        at = 0
+        while at < len(blob):
+            length, crc = struct.unpack_from("<II", blob, at)
+            payload = blob[at + 8:at + 8 + length]
+            assert len(payload) == length and zlib.crc32(payload) == crc
+            yield payload
+            at += 8 + length
+
+    epochs, crises = [], []
+    for name, size in segment_names(head):
+        for payload in payloads(name, size):
+            first, n = struct.unpack_from("<qI", payload)
+            body = np.frombuffer(payload, "<f8", offset=12 + n * (
+                not name.endswith("crises.seg")
+            ))
+            if name.endswith("crises.seg"):
+                crises.append((first, body.reshape(n, *shape)))
+            else:
+                flags = np.frombuffer(payload, np.uint8, n, 12)
+                epochs.append((first, body.reshape(n, *shape),
+                               flags.astype(bool)))
+    return header, epochs, crises
+
+
+def copy_checkpoint(src, dst) -> None:
+    """Copy a monitor checkpoint, head and segments, to head ``dst``."""
+    shutil.copyfile(src, dst)
+    for name, _ in segment_names(src):
+        shutil.copyfile(src.parent / name,
+                        dst.with_name(dst.name + name[len(src.name):]))
 
 
 def _discovery():
@@ -181,6 +268,8 @@ def test_damaged_archive_loads_or_raises_typed(
 ):
     source = pristine[kind][encoding]
     path = source.with_name(f"damaged-{kind}.npz")
+    if kind == "monitor":
+        copy_checkpoint(source, path)
     path.write_bytes(_damage(source.read_bytes(), how, at, width))
     try:
         KINDS[kind][2](path)
@@ -222,9 +311,89 @@ def test_flipped_member_byte_is_corrupt(pristine, kind, member, at):
     start, end = spans[member % len(spans)]
     blob[start + int(at * (end - start))] ^= 0xFF
     path = source.with_name(f"flipped-{kind}.npz")
+    if kind == "monitor":
+        copy_checkpoint(source, path)
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointCorruptError):
         KINDS[kind][2](path)
+
+
+@pytest.fixture(scope="module")
+def segmented(tmp_path_factory):
+    """A monitor checkpoint with epoch and crisis segments."""
+    root = tmp_path_factory.mktemp("segments")
+    monitor = _monitor_with_library()
+    head = root / "monitor.npz"
+    save_monitor(monitor, head)
+    names = segment_names(head)
+    assert any(n.endswith("crises.seg") for n, _ in names)
+    return head, monitor
+
+
+def assert_same_monitor(got, want):
+    np.testing.assert_array_equal(got.store.values(), want.store.values())
+    np.testing.assert_array_equal(got.store.anomalous_mask(),
+                                  want.store.anomalous_mask())
+    if want.thresholds is None:
+        assert got.thresholds is None
+    else:
+        np.testing.assert_array_equal(got.thresholds.cold,
+                                      want.thresholds.cold)
+        np.testing.assert_array_equal(got.thresholds.hot,
+                                      want.thresholds.hot)
+    assert len(got.store) == len(want.store)
+    assert got.library_labels == want.library_labels
+    for a, b in zip(got._library, want._library):
+        np.testing.assert_array_equal(a.quantile_window, b.quantile_window)
+
+
+@given(
+    segment=st.integers(min_value=0, max_value=100),
+    how=st.sampled_from(["truncate", "flip", "zero"]),
+    at=st.floats(min_value=0.0, max_value=0.999),
+    width=st.integers(min_value=1, max_value=16),
+)
+@example(segment=0, how="truncate", at=0.0, width=1)
+@example(segment=1, how="zero", at=0.0, width=8)
+@settings(max_examples=60, deadline=None)
+def test_damaged_segment_is_corrupt(segmented, segment, how, at, width):
+    source, _ = segmented
+    head = source.with_name("damaged-segments.npz")
+    copy_checkpoint(source, head)
+    name, size = segment_names(head)[segment % len(segment_names(head))]
+    file = head.with_name(name)
+    blob = file.read_bytes()
+    assert len(blob) == size
+    damaged = _damage(blob, how, at, width)
+    assume(damaged != blob)  # zeroing bytes that already are zero
+    file.write_bytes(damaged)
+    with pytest.raises(CheckpointCorruptError):
+        load_monitor(head)
+
+
+@pytest.mark.parametrize("which", ["epochs", "crises"])
+def test_missing_segment_is_corrupt(segmented, which):
+    source, _ = segmented
+    head = source.with_name(f"missing-{which}.npz")
+    copy_checkpoint(source, head)
+    name = next(n for n, _ in segment_names(head)
+                if n.endswith("crises.seg") == (which == "crises"))
+    head.with_name(name).unlink()
+    with pytest.raises(CheckpointCorruptError, match="segment"):
+        load_monitor(head)
+
+
+@given(tail=st.binary(min_size=1, max_size=64))
+@example(tail=struct.pack("<II", 12, 0))
+@settings(max_examples=30, deadline=None)
+def test_bytes_past_the_committed_length_are_a_torn_tail(segmented, tail):
+    source, monitor = segmented
+    head = source.with_name("torn.npz")
+    copy_checkpoint(source, head)
+    for name, _ in segment_names(head):
+        with open(head.with_name(name), "ab") as fh:
+            fh.write(tail)
+    assert_same_monitor(load_monitor(head), monitor)
 
 
 @pytest.fixture(scope="module")

@@ -43,7 +43,11 @@ from repro.discovery import DiscoveryEngine
 from repro.forecast import ForecastEngine
 from repro.index import BruteForceIndex
 from repro.index.snapshot import index_to_arrays
-from tests.test_archive_loaders import compress_types, write_deflated
+from tests.test_archive_loaders import (
+    compress_types,
+    read_segments,
+    write_deflated,
+)
 from tests.test_index_backends import as_kdtree_header
 
 CONFIG = FingerprintingConfig(
@@ -62,6 +66,69 @@ def make_monitor(small_trace):
         min_history_epochs=96 * 7,
         reliability=RELIABILITY,
     )
+
+
+def save_monitor_v1(monitor, path, extra=None):
+    """Write ``monitor`` as a format-1 archive, the one ``.npz`` every
+    monitor checkpoint was before the head and segments split: the window
+    (``store_values``/``store_anomalous``) and every library window
+    (``library_window_{i}``) are members.  Written through ``np.savez``,
+    so :func:`write_deflated` gives the deflated form."""
+    live = monitor._live
+    header = {
+        "format_version": 1,
+        "kind": "monitor",
+        "extra": extra or {},
+        "n_metrics": monitor.n_metrics,
+        "n_quantiles": monitor.store.n_quantiles,
+        "store_epochs": len(monitor.store),
+        "epoch_minutes": monitor.clock.epoch_minutes,
+        "threshold_refresh_epochs": monitor.threshold_refresh_epochs,
+        "min_history_epochs": monitor.min_history_epochs,
+        "epochs_since_refresh": monitor._epochs_since_refresh,
+        "crisis_counter": monitor._crisis_counter,
+        "untrusted_epochs": monitor.untrusted_epochs,
+        "has_thresholds": monitor.thresholds is not None,
+        "live": None if live is None else {
+            "number": live.number,
+            "detected_epoch": live.detected_epoch,
+            "identifications": live.identifications,
+        },
+        "library": [
+            {"number": s.number, "label": s.label}
+            for s in monitor._library
+        ],
+        "n_pre_buffer": len(monitor._pre_buffer),
+    }
+    embedded = {}
+    if monitor._discovery is not None:
+        header["discovery"], arrays = monitor._discovery.snapshot(
+            prefix="discovery_"
+        )
+        embedded.update(arrays)
+    if monitor._forecast is not None:
+        header["forecast"], arrays = monitor._forecast.snapshot(
+            prefix="forecast_"
+        )
+        embedded.update(arrays)
+    arrays = {
+        "header": pack_header(header),
+        "relevant": np.asarray(monitor.relevant, dtype=int),
+        "store_values": monitor.store.values(),
+        "store_anomalous": monitor.store.anomalous_mask(),
+        **embedded,
+    }
+    if monitor.thresholds is not None:
+        arrays["thresholds_cold"] = monitor.thresholds.cold
+        arrays["thresholds_hot"] = monitor.thresholds.hot
+    if monitor._pre_buffer:
+        arrays["pre_buffer"] = np.stack(monitor._pre_buffer)
+    if live is not None and live.summaries is not None and len(live.summaries):
+        arrays["live_summaries"] = live.summaries.snapshot()
+    for i, stored in enumerate(monitor._library):
+        arrays[f"library_window_{i}"] = stored.quantile_window
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def replay(monitor, trace, start, stop, diagnose=True):
@@ -86,20 +153,21 @@ def uninterrupted(small_trace):
 
 
 def assert_kill_restore_identical(small_trace, tmp_path, expected, split,
-                                  deflated=False):
+                                  deflated=False, save=save_monitor):
     """Kill at ``split``, restore, and resume: the events must be ``==``.
 
     ``deflated`` writes the checkpoint as archives were written before
-    members were stored.
+    members were stored; ``save`` is the writer (``save_monitor_v1`` for
+    a format-1 archive).
     """
     monitor = make_monitor(small_trace)
     before = replay(monitor, small_trace, 0, split)
     path = tmp_path / "monitor.npz"
     if deflated:
-        write_deflated(save_monitor, monitor, path)
+        write_deflated(save, monitor, path)
         assert compress_types(path) == {zipfile.ZIP_DEFLATED}
     else:
-        save_monitor(monitor, path)
+        save(monitor, path)
 
     restored = load_monitor(path, CONFIG, RELIABILITY)
     np.testing.assert_array_equal(restored.thresholds.cold,
@@ -128,6 +196,18 @@ class TestMonitorKillRestore:
         detections = [e for e in expected if isinstance(e, CrisisDetected)]
         assert_kill_restore_identical(small_trace, tmp_path, expected,
                                       detections[2].epoch + 1, deflated=True)
+
+    @pytest.mark.parametrize("deflated", [False, True],
+                             ids=["stored", "deflated"])
+    def test_format_1_archive_resumes_bit_identical(
+        self, small_trace, tmp_path, uninterrupted, deflated
+    ):
+        _, expected = uninterrupted
+        detections = [e for e in expected if isinstance(e, CrisisDetected)]
+        assert_kill_restore_identical(
+            small_trace, tmp_path, expected, detections[2].epoch + 1,
+            deflated=deflated, save=save_monitor_v1,
+        )
 
     def test_resume_past_twice_the_window_is_bit_identical(
         self, small_trace, tmp_path, uninterrupted
@@ -170,13 +250,27 @@ class TestMonitorKillRestore:
         assert monitor.store.values().shape == (W, small_trace.n_metrics,
                                                 CONFIG.quantiles.count)
         assert monitor.store.anomalous_mask().shape == (W,)
+        # A first save writes the window, and only the window, to its
+        # epoch segments; the head holds none of it.
         path = tmp_path / "monitor.npz"
         save_monitor(monitor, path)
+        header, epochs, _ = read_segments(path)
+        assert header["store_epochs"] == small_trace.n_epochs
+        rows = np.concatenate([r for _, r, _ in epochs])
+        flags = np.concatenate([f for _, _, f in epochs])
+        assert rows.shape[0] == W and flags.shape == (W,)
+        assert epochs[0][0] == small_trace.n_epochs - W
+        np.testing.assert_array_equal(rows, monitor.store.values())
+        np.testing.assert_array_equal(flags, monitor.store.anomalous_mask())
         with np.load(path, allow_pickle=False) as data:
+            assert "store_values" not in data.files
+        # A format-1 archive holds the window as members.
+        save_monitor_v1(monitor, tmp_path / "v1.npz")
+        with np.load(tmp_path / "v1.npz", allow_pickle=False) as data:
             assert data["store_values"].shape[0] == W
             assert data["store_anomalous"].shape == (W,)
-            header = unpack_header(data)
-        assert header["store_epochs"] == small_trace.n_epochs
+            assert unpack_header(data)["store_epochs"] == \
+                small_trace.n_epochs
 
     def test_larger_window_than_saved_is_format_error(self, tmp_path,
                                                       uninterrupted):
@@ -194,9 +288,25 @@ class TestMonitorKillRestore:
 
     def test_store_epochs_below_row_count_is_corrupt(self, tmp_path,
                                                      uninterrupted):
+        # A head whose epoch count stops short of its segments' rows.
         monitor, _ = uninterrupted
         path = tmp_path / "monitor.npz"
         save_monitor(monitor, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = unpack_header(arrays)
+        header["store_epochs"] -= 1
+        arrays["header"] = pack_header(header)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointCorruptError):
+            load_monitor(path, CONFIG, RELIABILITY)
+
+    def test_format_1_store_epochs_below_row_count_is_corrupt(
+        self, tmp_path, uninterrupted
+    ):
+        monitor, _ = uninterrupted
+        path = tmp_path / "monitor.npz"
+        save_monitor_v1(monitor, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         header = unpack_header(arrays)
@@ -212,7 +322,10 @@ class TestMonitorKillRestore:
         path = tmp_path / "monitor.npz"
         save_monitor(monitor, path)
         save_monitor(monitor, path)  # overwrite in place
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.npz"]
+        # The head and the one epoch segment its 200 rows fill.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "monitor.npz", "monitor.npz.1.e0.seg",
+        ]
         load_monitor(path, CONFIG, RELIABILITY)
 
     def test_wrong_kind_rejected(self, small_trace, tmp_path):
@@ -230,7 +343,7 @@ MONITOR_HEADER_KEYS = [
     "store_epochs", "epoch_minutes", "threshold_refresh_epochs",
     "min_history_epochs", "epochs_since_refresh", "crisis_counter",
     "untrusted_epochs", "has_thresholds", "live", "library",
-    "n_pre_buffer", "discovery", "forecast",
+    "n_pre_buffer", "segments", "discovery", "forecast",
 ]
 
 
@@ -311,7 +424,7 @@ class TestIndexSlotArchives:
         monitor = make_monitor(small_trace)
         before = replay(monitor, small_trace, 0, split)
         path = tmp_path / "monitor.npz"
-        save_monitor(monitor, path)
+        save_monitor_v1(monitor, path)
         write_index_slots(path, monitor, kdtree=kdtree)
         with np.load(path, allow_pickle=False) as data:
             assert "index_slot4_vectors" in data.files
@@ -330,7 +443,7 @@ class TestIndexSlotArchives:
             assert not [k for k in data.files if k.startswith("index_slot")]
             header = unpack_header(data)
         assert "index_slots" not in header
-        assert header["format_version"] == checkpoint.CHECKPOINT_FORMAT_VERSION == 1
+        assert header["format_version"] == checkpoint.MONITOR_FORMAT_VERSION == 2
 
 
 class TestPipelineCheckpoint:

@@ -32,6 +32,7 @@ from repro.core.thresholds import percentile_thresholds
 from repro.evaluation.experiments import OnlineIdentificationExperiment
 from repro.telemetry.epochs import EpochClock
 from repro.telemetry.validation import validate_history
+from tests.test_core_checkpoint import save_monitor_v1
 
 CONFIG = FingerprintingConfig(
     selection=SelectionConfig(n_relevant=20),
@@ -199,7 +200,7 @@ class TestCheckpointCompat:
         monitor = make_monitor(small_trace)
         before = replay(monitor, small_trace, 0, split)
         path = tmp_path / "new.npz"
-        save_monitor(monitor, path)
+        save_monitor_v1(monitor, path)
 
         # Rewrite the archive the way a pre-engine version wrote it.
         with np.load(path, allow_pickle=False) as data:
@@ -232,7 +233,7 @@ class TestCheckpointCompat:
         fed = record_observed(monitor)
         before = replay(monitor, small_trace, 0, split)
         path = tmp_path / "new.npz"
-        save_monitor(monitor, path)
+        save_monitor_v1(monitor, path)
 
         # Rewrite the archive the way a full-history version wrote it.
         with np.load(path, allow_pickle=False) as data:

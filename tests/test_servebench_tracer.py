@@ -80,3 +80,37 @@ def test_tracer_sees_the_tenant_close(monkeypatch, tmp_path):
     assert {"quantiles.summarize", "health", "columnar.put"} <= set(
         tracer.names
     )
+
+
+def test_tracer_sees_the_checkpoint_and_recovery(monkeypatch, tmp_path):
+    # servebench's checkpoint rows come from these spans; a checkpoint
+    # that stopped calling ``repro.core.checkpoint.save_monitor`` through
+    # its module would empty the ``checkpoint.save`` row.
+    monkeypatch.syspath_prepend(str(SERVEBENCH))
+    import inproc
+
+    cfg = ServingConfig(n_metrics=3, n_relevant=2, epoch_minutes=144,
+                        window_days=2, checkpoint_every_epochs=2)
+    rt = TenantRuntime("t", cfg, tmp_path)
+    tracer = inproc.Tracer()
+    tracer.install()
+    try:
+        for epoch in range(2):
+            for record in (
+                {"op": "report_batch", "epoch": epoch, "machines": ["a"],
+                 "values": [[1.0, 2.0, 3.0]], "violations": [False]},
+                {"op": "close_epoch", "epoch": epoch},
+            ):
+                rt.journal.append_many([record])
+                rt.apply(record)
+        rt.close()
+        back = TenantRuntime.recover("t", cfg, tmp_path)
+        back.close()
+    finally:
+        tracer.uninstall()
+    assert back.next_epoch == 2
+    assert {"tenant.checkpoint", "checkpoint.save", "journal.compact",
+            "tenant.recover"} <= set(tracer.names)
+    # The cadence checkpoint ran inside the close that triggered it.
+    save = tracer.names.index("checkpoint.save")
+    assert tracer.names[tracer.parents[save]] == "tenant.checkpoint"

@@ -424,6 +424,112 @@ class TestCompaction:
         assert leftovers == []
 
 
+def full_scan_compaction(path, applied_seq):
+    """The bytes compaction keeps, found the way it found them before it
+    indexed record ends: a scan and CRC check of every record."""
+    blob = path.read_bytes()
+    copy = path.with_name("oracle.wal")
+    copy.write_bytes(blob)
+    cut = end = kept = 0
+    with WriteAheadJournal(copy) as j:
+        for record, end in j._scan(values=False):
+            if not kept and record.get("seq", 0) <= applied_seq:
+                cut = end
+            else:
+                kept += 1
+    copy.unlink()
+    return blob[cut:end], kept
+
+
+def mixed(start, n):
+    return [batch(i, rows=1 + i % 3) if i % 2 else rec(i)
+            for i in range(start, start + n)]
+
+
+class TestIndexedCompaction:
+    """Compaction bisects the kept record ends for its cut; what it
+    writes must be byte for byte what a scan of every record kept."""
+
+    def compact_like_a_full_scan(self, j, floor):
+        want, kept = full_scan_compaction(j.path, floor)
+        assert j.compact(floor) == kept
+        assert j.path.read_bytes() == want
+        return kept
+
+    def test_pinned_floors_keep_a_suffix(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append_many(mixed(0, 9))
+            # A retention floor below the cursor keeps a non-empty suffix.
+            assert self.compact_like_a_full_scan(j, 4) == 5
+            j.append_many(mixed(9, 4))
+            j.append(rec(20))
+            assert self.compact_like_a_full_scan(j, 11) == 3
+            assert self.compact_like_a_full_scan(j, 11) == 3  # idempotent
+            assert self.compact_like_a_full_scan(j, 2) == 3  # below the cut
+            assert self.compact_like_a_full_scan(j, 14) == 0
+            assert j.append(batch(30)) == 15
+            assert [r["seq"] for r in j.replay()] == [15]
+
+    def test_compaction_after_recovery(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append_many(mixed(0, 7))
+        # A torn tail, as a crash mid-append leaves it.
+        with open(path, "ab") as fh:
+            fh.write(frame(b"\x01" + bytes(40))[:-5])
+        with WriteAheadJournal(path) as j:
+            # The index comes from one scan of the reopened file.
+            assert self.compact_like_a_full_scan(j, 3) == 4
+            j.truncate_tail()
+            j.append_many(mixed(7, 3))
+            assert self.compact_like_a_full_scan(j, 8) == 2
+        with WriteAheadJournal(path) as j:
+            assert [r["seq"] for r in j.replay()] == [9, 10]
+            assert self.compact_like_a_full_scan(j, 9) == 1
+
+    def test_compaction_after_reserve_seq(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append_many(mixed(0, 3))
+            j.reserve_seq(40)
+            assert j.append_many(mixed(3, 4)) == [41, 42, 43, 44]
+            assert self.compact_like_a_full_scan(j, 3) == 4
+            assert self.compact_like_a_full_scan(j, 42) == 2
+        with WriteAheadJournal(path) as j:
+            j.reserve_seq(50)
+            j.append(rec(9))
+            assert self.compact_like_a_full_scan(j, 44) == 1
+            assert [r["seq"] for r in j.replay()] == [51]
+
+    def test_only_the_kept_suffix_is_read(self, tmp_path):
+        def offsets(blob):
+            at = [0]
+            while at[-1] < len(blob):
+                at.append(at[-1] + 8 + struct.unpack_from("<I", blob,
+                                                          at[-1])[0])
+            return at
+
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as j:
+            j.append_many(mixed(0, 6))
+            blob = path.read_bytes()
+            at = offsets(blob)
+            # Damage inside the dropped prefix is never read ...
+            damaged = bytearray(blob)
+            damaged[at[1] + 10] ^= 0xFF
+            path.write_bytes(bytes(damaged))
+            assert j.compact(3) == 3
+            assert path.read_bytes() == blob[at[3]:]
+            # ... damage inside the kept suffix is never copied.
+            kept = bytearray(path.read_bytes())
+            kept[offsets(bytes(kept))[1] + 10] ^= 0xFF  # seq 5 of 4..6
+            path.write_bytes(bytes(kept))
+            with pytest.raises(JournalCorruptError):
+                j.compact(4)
+            assert path.read_bytes() == bytes(kept)
+
+
 class TestFuzzedDamage:
     """Property fuzz of the frame parser: arbitrary byte-level damage.
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import ServingConfig
+from repro.config import ReliabilityConfig, ServingConfig
 from repro.core import checkpoint as ckpt_mod
 from repro.core.checkpoint import CheckpointCorruptError, read_checkpoint_extra
 from repro.serving.journal import WriteAheadJournal
@@ -26,9 +26,16 @@ from repro.serving.tenant import (
     DUPLICATE,
     TenantRuntime,
     UNKNOWN_CRISIS,
+    monitor_config,
 )
 from repro.serving.wire import report_as_batch
-from tests.test_archive_loaders import compress_types, write_deflated
+from repro.telemetry.reliability import AgentHealthTracker
+from tests.test_archive_loaders import (
+    compress_types,
+    segment_names,
+    write_deflated,
+)
+from tests.test_core_checkpoint import save_monitor_v1
 from tests.test_serving_journal import json_frame
 
 
@@ -581,23 +588,52 @@ class TestDeflatedCheckpoints:
 
 
 #: Journals and applies the records in a JSON file like a serving
-#: tenant, and SIGKILLs itself partway through the second cadence
-#: checkpoint: between two member writes of ``save_monitor``
-#: ("checkpoint"), or just before the journal compaction's rename
-#: ("compaction").  Arguments: root, where, config JSON, records JSON.
+#: tenant, and SIGKILLs itself at one write boundary of its ``nth``
+#: cadence checkpoint: between two member writes of the head
+#: ("checkpoint"), just before the journal compaction's rename
+#: ("compaction"), after a segment append, before or after the head's
+#: rename, before a segment delete, or before the journal compaction.
+#: Arguments: root, where, nth, config JSON, records JSON.
 KILLED_MID_CHECKPOINT = """
-import json, os, signal, sys
+import json, os, pathlib, signal, sys
 
 import numpy as np
 
 from repro.config import ServingConfig
+from repro.core import checkpoint as ckpt
+from repro.serving.journal import WriteAheadJournal
 from repro.serving.tenant import TenantRuntime
 
-root, where, cfg, records = sys.argv[1:]
+root, where, nth, cfg, records = sys.argv[1:]
+nth = int(nth)
 checkpoints, written = [], []
+
+
+def patch(owner, name, point, before=None, after=None):
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        armed = where == point and len(checkpoints) == nth
+        if armed and before is not None and before(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+        out = real(*args, **kwargs)
+        if armed and after is not None and after(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return out
+
+    setattr(owner, name, wrapper)
+
+
+def third_array(fp, array, *args, **kwargs):
+    written.append(array)
+    return len(written) == 3
+
+
+def head(src, dst):
+    return str(dst).endswith("checkpoint.npz")
+
+
 real_checkpoint = TenantRuntime.checkpoint
-real_write_array = np.lib.format.write_array
-real_replace = os.replace
 
 
 def checkpoint(self):
@@ -605,30 +641,68 @@ def checkpoint(self):
     real_checkpoint(self)
 
 
-def write_array(fp, array, *args, **kwargs):
-    if where == "checkpoint" and len(checkpoints) == 2:
-        written.append(array)
-        if len(written) == 3:
-            os.kill(os.getpid(), signal.SIGKILL)
-    return real_write_array(fp, array, *args, **kwargs)
-
-
-def replace(src, dst):
-    if where == "compaction" and str(src).endswith(".wal.tmp") \
-            and len(checkpoints) == 2:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return real_replace(src, dst)
-
-
 TenantRuntime.checkpoint = checkpoint
-np.lib.format.write_array = write_array
-os.replace = replace
+patch(np.lib.format, "write_array", "checkpoint", before=third_array)
+patch(os, "replace", "compaction",
+      before=lambda src, dst: str(src).endswith(".wal.tmp"))
+patch(ckpt, "_append", "segment-append", after=lambda *a: True)
+patch(os, "replace", "before-head-rename", before=head)
+patch(os, "replace", "after-head-rename", after=head)
+patch(pathlib.Path, "unlink", "before-segment-delete",
+      before=lambda self, *a: self.name.endswith(".seg"))
+patch(WriteAheadJournal, "compact", "before-compaction",
+      before=lambda *a: True)
 rt = TenantRuntime("tenant-0", ServingConfig(**json.loads(cfg)), root)
 for record in json.loads(records):
     rt.journal.append_many([record])
     rt.apply(record)
-sys.exit("the second checkpoint never ran")
+sys.exit(f"checkpoint {nth} never reached its {where} boundary")
 """
+
+
+def run_killed(tmp_path, where, nth, over, records):
+    """Run the killed tenant; returns its tenant directory."""
+    root = tmp_path / "killed"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(pathlib.Path(repro.__file__).parents[1]),
+                    env.get("PYTHONPATH", "")] if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_MID_CHECKPOINT, str(root), where,
+         str(nth), json.dumps({**SMALL_CFG, **over}), json.dumps(records)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    return root / "tenants" / "tenant-0"
+
+
+def assert_tidy(tenant_dir):
+    """Only the head, the journal and the segments the head names."""
+    head = tenant_dir / "checkpoint.npz"
+    assert sorted(p.name for p in tenant_dir.iterdir()) == sorted(
+        ["checkpoint.npz", "journal.wal"]
+        + [name for name, _ in segment_names(head)]
+    )
+
+
+def finish_and_compare(back, records, cfg, tmp_path):
+    """Journal what the killed run never reached, then compare with an
+    uninterrupted run: state, events and agent health."""
+    events = []
+    for record in records[back.journal.last_seq:]:
+        record = dict(record)
+        back.journal.append_many([record])
+        events.extend(back.apply(record)[1])
+    ref = serve(tmp_path / "ref", cfg, records)
+    assert any(e["type"] == "crisis_detected" for e in ref.event_log)
+    if events:
+        assert ref.event_log[-len(events):] == events
+    assert_same_state(back, ref)
+    for key, column in ref.health.to_arrays().items():
+        np.testing.assert_array_equal(back.health.to_arrays()[key], column)
+    back.close()
+    ref.close()
 
 
 class TestOrphanedTempFiles:
@@ -645,19 +719,7 @@ class TestOrphanedTempFiles:
             seq for seq, r in enumerate(records, start=1)
             if r["op"] == "close_epoch" and r["epoch"] in (4, 9)
         ]
-        root = tmp_path / "killed"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [str(pathlib.Path(repro.__file__).parents[1]),
-                        env.get("PYTHONPATH", "")] if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", KILLED_MID_CHECKPOINT, str(root), where,
-             json.dumps({**SMALL_CFG, **over}), json.dumps(records)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == -signal.SIGKILL, proc.stderr
-        tenant_dir = root / "tenants" / "tenant-0"
+        tenant_dir = run_killed(tmp_path, where, 2, over, records)
         orphans = sorted(p.name for p in tenant_dir.glob("tmp*"))
         assert len(orphans) == 1 and orphans[0].endswith(".tmp"), orphans
         assert orphans[0].endswith(".wal.tmp") == (where == "compaction")
@@ -667,13 +729,82 @@ class TestOrphanedTempFiles:
         assert on_disk["applied_seq"] == (
             closes[0] if where == "checkpoint" else closes[1]
         )
+        if where == "checkpoint":
+            # The killed save had appended epochs 5-9 to a segment the
+            # previous head does not name.
+            assert (tenant_dir / "checkpoint.npz.1.e1.seg").exists()
 
-        back = TenantRuntime.recover("tenant-0", cfg, root)
-        assert sorted(p.name for p in tenant_dir.iterdir()) == [
-            "checkpoint.npz", "journal.wal",
+        back = TenantRuntime.recover("tenant-0", cfg, tmp_path / "killed")
+        assert_tidy(tenant_dir)
+        assert not list(tenant_dir.glob("tmp*"))
+        finish_and_compare(back, records, cfg, tmp_path)
+
+    @pytest.mark.parametrize("where", [
+        "segment-append", "before-head-rename", "after-head-rename",
+        "before-segment-delete", "before-compaction",
+    ])
+    def test_sigkill_at_each_write_boundary_recovers(self, tmp_path, where):
+        over = dict(checkpoint_every_epochs=5)
+        cfg = small_cfg(**over)
+        # A 20-epoch window in five-epoch segments: the fifth cadence
+        # checkpoint (epoch 24's close) drops the segment of epochs 0-4.
+        records = batch_traffic(range(32), diagnose_after=10)
+        closes = [
+            seq for seq, r in enumerate(records, start=1)
+            if r["op"] == "close_epoch" and r["epoch"] in (19, 24)
         ]
-        ref = serve(tmp_path / "ref", cfg, records)
-        assert any(e["type"] == "crisis_detected" for e in ref.event_log)
-        assert_same_state(back, ref)
-        back.close()
-        ref.close()
+        tenant_dir = run_killed(tmp_path, where, 5, over, records)
+        head = tenant_dir / "checkpoint.npz"
+        renamed = where in ("after-head-rename", "before-segment-delete",
+                            "before-compaction")
+        assert read_checkpoint_extra(head)["applied_seq"] == (
+            closes[1] if renamed else closes[0]
+        )
+        assert (tenant_dir / "checkpoint.npz.1.e4.seg").exists()
+        # The save deletes the dropped segment just before it returns.
+        assert (tenant_dir / "checkpoint.npz.1.e0.seg").exists() == (
+            where != "before-compaction"
+        )
+        names = [name for name, _ in segment_names(head)]
+        assert ("checkpoint.npz.1.e0.seg" in names) == (not renamed)
+
+        back = TenantRuntime.recover("tenant-0", cfg, tmp_path / "killed")
+        assert_tidy(tenant_dir)
+        finish_and_compare(back, records, cfg, tmp_path)
+
+    def test_format_1_checkpoint_recovers(self, tmp_path):
+        """A tenant directory as code before the head and segments split
+        left it (one format-1 archive, the agent health as a JSON map, a
+        journal suffix) recovers to the uninterrupted state and keeps
+        serving alike; its next checkpoint writes a complete head."""
+        cfg = small_cfg(checkpoint_every_epochs=5)
+        records = batch_traffic(range(22), diagnose_after=10)
+        # Up to epoch 15's batch: a checkpoint at epoch 14's close, then
+        # one journaled report batch.
+        rt = serve(tmp_path / "old", cfg, records[:-13])
+        monitor, extra = ckpt_mod.load_monitor_and_extra(
+            rt.checkpoint_path, monitor_config(cfg),
+            ReliabilityConfig(coverage_floor=cfg.coverage_floor),
+        )
+        assert rt.journal.replay(after_seq=extra["applied_seq"])
+        health = AgentHealthTracker.from_arrays(extra, prefix="health_")
+        extra = {k: v for k, v in extra.items()
+                 if not k.startswith("health_")}
+        extra["health"] = {
+            mid: {"misses": a.consecutive_misses,
+                  "last": a.last_report_epoch, "trips": a.trips,
+                  "reported": a.reported_this_epoch}
+            for mid, a in health._agents.items()
+        }
+        rt.close()
+        tenant_dir = rt.dir
+        for seg in tenant_dir.glob("*.seg"):
+            seg.unlink()
+        save_monitor_v1(monitor, rt.checkpoint_path, extra=extra)
+
+        back = TenantRuntime.recover("tenant-0", cfg, tmp_path / "old")
+        back.checkpoint()
+        with np.load(back.checkpoint_path, allow_pickle=False) as data:
+            assert "store_values" not in data.files
+        assert_tidy(tenant_dir)
+        finish_and_compare(back, records, cfg, tmp_path)

@@ -132,25 +132,34 @@ class TestAgentHealthTracker:
         with pytest.raises(ValueError):
             AgentHealthTracker(["a"], dead_after=2, stale_after=3)
 
-    def test_dict_form_round_trips(self):
-        # The serving checkpoint's JSON form: key order and field names
-        # are a file format, so checkpoints written earlier still load.
+    @staticmethod
+    def _tracker():
         tracker = AgentHealthTracker(["b", "a"])
         tracker.add_agent("c")
         tracker.observe_report("a", 0)
         for epoch in range(5):
             tracker.close_epoch(epoch)
         tracker.observe_report("c", 5)
-        state = tracker.to_dict()
-        assert json.dumps(state["b"]) == (
-            '{"misses": 5, "last": null, "trips": 1, "reported": false}'
+        return tracker
+
+    @staticmethod
+    def assert_same_agents(got, want):
+        got, want = got.to_arrays(), want.to_arrays()
+        assert list(got) == list(want)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+            assert got[key].dtype == want[key].dtype
+
+    def test_dict_form_round_trips(self):
+        # The JSON map older serving checkpoints hold: key order and
+        # field names are a file format, so those checkpoints still load.
+        state = json.loads(
+            '{"b": {"misses": 5, "last": null, "trips": 1, "reported": false},'
+            ' "a": {"misses": 4, "last": 0, "trips": 1, "reported": false},'
+            ' "c": {"misses": 0, "last": 5, "trips": 1, "reported": true}}'
         )
-        assert list(state) == ["b", "a", "c"]
-        assert state["c"] == {
-            "misses": 0, "last": 5, "trips": 1, "reported": True,
-        }
-        back = AgentHealthTracker.from_dict(json.loads(json.dumps(state)))
-        assert back.to_dict() == state
+        back = AgentHealthTracker.from_dict(state)
+        self.assert_same_agents(back, self._tracker())
         assert back.status("b") == "dead" and back.n_dead == 2
 
     def test_dict_form_without_reported_flag(self):
@@ -158,8 +167,45 @@ class TestAgentHealthTracker:
         back = AgentHealthTracker.from_dict(
             {"a": {"misses": 1, "last": 3, "trips": 0}}
         )
-        assert back.to_dict()["a"]["reported"] is False
+        assert back.to_arrays()["counters"].tolist() == [[1, 3, 0, 0]]
         assert back.status("a") == "stale"
+
+    def test_array_form_round_trips(self):
+        tracker = self._tracker()
+        tracker.add_agent("d\u00e9\x00")  # any id round-trips exactly
+        arrays = tracker.to_arrays(prefix="health_")
+        assert sorted(arrays) == ["health_counters", "health_ids"]
+        # misses, last reported epoch (-1: never), trips, reported
+        assert arrays["health_counters"].tolist() == [
+            [5, -1, 1, 0], [4, 0, 1, 0], [0, 5, 1, 1], [0, -1, 0, 0],
+        ]
+        assert arrays["health_counters"].dtype == np.int64
+        back = AgentHealthTracker.from_arrays(arrays, prefix="health_")
+        assert list(back._agents) == ["b", "a", "c", "d\u00e9\x00"]
+        self.assert_same_agents(back, tracker)
+        assert back.status("b") == "dead" and back.n_dead == 2
+        assert back.staleness("a") == 4
+
+    def test_array_form_rejects_misaligned_columns(self):
+        arrays = self._tracker().to_arrays()
+        arrays["counters"] = arrays["counters"][:2]
+        with pytest.raises(ValueError):
+            AgentHealthTracker.from_arrays(arrays)
+
+    def test_counts_match_statuses(self):
+        tracker = AgentHealthTracker(list("abcdef"), dead_after=3)
+        for epoch in range(4):
+            for mid in "ab"[: 2 - epoch // 2]:
+                tracker.observe_report(mid, epoch)
+            if epoch < 2:
+                tracker.observe_report("c", epoch)
+            tracker.close_epoch(epoch)
+            statuses = [tracker.status(m) for m in "abcdef"]
+            assert tracker.counts() == (
+                statuses.count("stale"), statuses.count("dead")
+            )
+            assert tracker.n_healthy == statuses.count("healthy")
+            assert tracker.expected_fleet == 6 - statuses.count("dead")
 
 
 class TestRetryPolicySeededJitter:
