@@ -826,9 +826,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         )
     )
     method.fit(trace, trace.labeled_crises)
-    det = crisis.detected_epoch
-    window = trace.quantiles[max(det - 2, 0) : det + 5]
-    summaries = summary_vectors(window, method.thresholds)
+    span = method.config.fingerprint.window(
+        crisis.detected_epoch, trace.n_epochs
+    )
+    summaries = summary_vectors(trace.quantiles[span], method.thresholds)
     sub = summaries[:, method.relevant, :]
     print(
         render_fingerprint(

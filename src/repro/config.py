@@ -115,6 +115,26 @@ class FingerprintConfig:
     def n_epochs(self) -> int:
         return self.pre_epochs + self.post_epochs + 1
 
+    def window(
+        self,
+        detection_epoch: int,
+        n_total_epochs: int,
+        n_epochs: Optional[int] = None,
+    ) -> slice:
+        """The summary window of a crisis detected at ``detection_epoch``.
+
+        Epochs ``detection - pre_epochs`` through ``detection +
+        post_epochs``, clipped to a trace of ``n_total_epochs``.
+        ``n_epochs`` keeps only that many rows (at least one), counted
+        from the window's first epoch: the partial window of the online
+        protocol, ``pre_epochs + k + 1`` rows at identification epoch k.
+        """
+        lo = max(detection_epoch - self.pre_epochs, 0)
+        hi = min(detection_epoch + self.post_epochs, n_total_epochs - 1) + 1
+        if n_epochs is not None:
+            hi = min(hi, lo + max(n_epochs, 1))
+        return slice(lo, hi)
+
 
 @dataclass(frozen=True)
 class IdentificationConfig:
@@ -235,7 +255,6 @@ class DiscoveryConfig:
     promote_stability: int = 4
     min_promote_size: int = 3
     history_limit: int = 4096
-    backend: str = "brute"
     label_prefix: str = "discovered-"
     auto_promote: bool = True
 
@@ -261,8 +280,6 @@ class DiscoveryConfig:
             raise ValueError("min_promote_size must be positive")
         if self.history_limit < 1:
             raise ValueError("history_limit must be positive")
-        if self.backend not in ("brute", "lsh"):
-            raise ValueError(f"unknown index backend {self.backend!r}")
         if not self.label_prefix:
             raise ValueError("label_prefix must be non-empty")
 

@@ -36,11 +36,7 @@ from repro.core.checkpoint import (
     save_monitor,
     save_pipeline,
 )
-from repro.core.fingerprint import (
-    CrisisFingerprint,
-    crisis_fingerprint,
-    epoch_fingerprints,
-)
+from repro.core.fingerprint import CrisisFingerprint, crisis_fingerprint
 from repro.core.identification import (
     IdentificationResult,
     Identifier,
@@ -77,7 +73,6 @@ __all__ = [
     "save_pipeline",
     "CrisisFingerprint",
     "crisis_fingerprint",
-    "epoch_fingerprints",
     "IdentificationResult",
     "Identifier",
     "UNKNOWN",

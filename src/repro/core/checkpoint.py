@@ -94,11 +94,6 @@ MONITOR_FORMAT_VERSION = 2
 #: Monitor archive formats :func:`load_monitor` reads.
 _MONITOR_VERSIONS = (CHECKPOINT_FORMAT_VERSION, MONITOR_FORMAT_VERSION)
 
-# Shared with repro.index.snapshot; kept under their historical names so
-# existing callers (and tests) of the private helpers keep working.
-_atomic_write_npz = atomic_write_npz
-_pack_header = pack_header
-
 #: ``<u32 length> <u32 crc32>`` segment record prefix, as in the journal.
 _PREFIX = struct.Struct("<II")
 #: An epoch record opens with its first epoch and row count, then one
@@ -602,7 +597,7 @@ def save_monitor(
         embedded.update(fc_arrays)
     # The header is complete now; encode it once.
     arrays: Dict[str, np.ndarray] = {
-        "header": _pack_header(header),
+        "header": pack_header(header),
         "relevant": np.asarray(monitor.relevant, dtype=int),
         **embedded,
     }
@@ -613,7 +608,7 @@ def save_monitor(
         arrays["pre_buffer"] = np.stack(monitor._pre_buffer)
     if live is not None and live.summaries is not None and len(live.summaries):
         arrays["live_summaries"] = live.summaries.snapshot()
-    _atomic_write_npz(path, arrays)
+    atomic_write_npz(path, arrays)
     log.head = _identity(path)
     monitor._persisted = log
 
@@ -806,7 +801,7 @@ def save_pipeline(pipeline: FingerprintPipeline, path) -> None:
             for k in pipeline.known
         ],
     }
-    arrays: Dict[str, np.ndarray] = {"header": _pack_header(header)}
+    arrays: Dict[str, np.ndarray] = {"header": pack_header(header)}
     if pipeline.thresholds is not None:
         arrays["thresholds_cold"] = pipeline.thresholds.cold
         arrays["thresholds_hot"] = pipeline.thresholds.hot
@@ -819,7 +814,7 @@ def save_pipeline(pipeline: FingerprintPipeline, path) -> None:
         arrays[f"known_stale_{i}"] = k.stale_summary
         if k.fingerprint is not None:
             arrays[f"known_fingerprint_{i}"] = k.fingerprint
-    _atomic_write_npz(path, arrays)
+    atomic_write_npz(path, arrays)
 
 
 def load_pipeline(

@@ -567,9 +567,6 @@ class EpochStateEngine:
         )
         self.thresholds: Optional[QuantileThresholds] = None
         self.epochs_since_refresh = 0
-        #: Bumped whenever thresholds change; consumers key derived state
-        #: (e.g. re-discretized library fingerprints) off this.
-        self.version = 0
 
     @property
     def ready(self) -> bool:
@@ -603,7 +600,6 @@ class EpochStateEngine:
         if self.tracker.window_count < 2:
             return False
         self.thresholds = self.tracker.thresholds()
-        self.version += 1
         return True
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config import FingerprintConfig
-from repro.core.summary import summary_vectors
+from repro.core.engine import fingerprint_from_window
 from repro.core.thresholds import QuantileThresholds
 
 
@@ -37,47 +37,6 @@ class CrisisFingerprint:
             raise ValueError("fingerprint entries must lie in [-1, 1]")
 
 
-def epoch_fingerprints(
-    quantiles: np.ndarray,
-    thresholds: QuantileThresholds,
-    metric_indices: np.ndarray,
-) -> np.ndarray:
-    """Summary vectors restricted to the relevant metrics.
-
-    Parameters
-    ----------
-    quantiles:
-        ``(n_epochs, n_metrics, n_quantiles)`` raw quantile values.
-    thresholds:
-        Hot/cold cutoffs over *all* metrics.
-    metric_indices:
-        Relevant metric indices (fingerprint columns).
-
-    Returns
-    -------
-    ``(n_epochs, n_relevant * n_quantiles)`` int8 array.
-    """
-    quantiles = np.asarray(quantiles, dtype=float)
-    if quantiles.ndim != 3:
-        raise ValueError("quantiles must be 3-D")
-    metric_indices = np.asarray(metric_indices, dtype=int)
-    if (
-        metric_indices.size == quantiles.shape[1]
-        and np.array_equal(
-            metric_indices, np.arange(quantiles.shape[1])
-        )
-    ):
-        # Every metric is relevant: skip the gather copy and discretize
-        # the (block-backed) window directly — it is only ever read.
-        sub = quantiles
-        restricted = thresholds
-    else:
-        sub = quantiles[:, metric_indices, :]
-        restricted = thresholds.restrict(metric_indices)
-    summaries = summary_vectors(sub, restricted)
-    return summaries.reshape(summaries.shape[0], -1)
-
-
 def crisis_fingerprint(
     quantiles: np.ndarray,
     thresholds: QuantileThresholds,
@@ -91,27 +50,29 @@ def crisis_fingerprint(
     """Average epoch fingerprints over the crisis summary window.
 
     The window is ``[detection - pre_epochs, detection + post_epochs]``
-    inclusive, clipped to the trace and, for online partial fingerprints,
-    to ``end_epoch`` (the most recent epoch whose data has arrived).
+    inclusive (:meth:`~repro.config.FingerprintConfig.window`), clipped to
+    the trace and, for online partial fingerprints, to ``end_epoch`` (the
+    most recent epoch whose data has arrived).  The mean is taken by
+    :func:`~repro.core.engine.fingerprint_from_window`, the kernel every
+    plane shares.
     """
-    n_epochs = quantiles.shape[0]
-    lo = max(detection_epoch - config.pre_epochs, 0)
-    hi = min(detection_epoch + config.post_epochs, n_epochs - 1)
-    if end_epoch is not None:
-        hi = min(hi, end_epoch)
-    if hi < lo:
+    quantiles = np.asarray(quantiles, dtype=float)
+    if quantiles.ndim != 3:
+        raise ValueError("quantiles must be 3-D")
+    span = config.window(detection_epoch, quantiles.shape[0])
+    stop = span.stop if end_epoch is None else min(span.stop, end_epoch + 1)
+    if stop <= span.start:
         raise ValueError("empty fingerprint window")
-    window = epoch_fingerprints(
-        quantiles[lo : hi + 1], thresholds, metric_indices
+    vector = fingerprint_from_window(
+        quantiles[span.start : stop], thresholds, metric_indices
     )
-    vector = window.astype(float).mean(axis=0)
     return CrisisFingerprint(
         vector=vector,
         metric_indices=np.asarray(metric_indices, dtype=int),
         label=label,
         crisis_id=crisis_id,
-        n_epochs=window.shape[0],
+        n_epochs=stop - span.start,
     )
 
 
-__all__ = ["CrisisFingerprint", "crisis_fingerprint", "epoch_fingerprints"]
+__all__ = ["CrisisFingerprint", "crisis_fingerprint"]

@@ -81,7 +81,7 @@ class IdentificationResult:
     label: str  # a crisis label, or UNKNOWN
     nearest_label: Optional[str]
     distance: Optional[float]
-    threshold: float
+    threshold: Optional[float]  # None when no T_id could be estimated
 
     @property
     def matched(self) -> bool:

@@ -26,18 +26,18 @@ import numpy as np
 from repro.config import FingerprintingConfig
 from repro.core.engine import (
     fingerprint_from_summaries,
+    fingerprint_from_window,
     threshold_series_for,
 )
-from repro.core.fingerprint import crisis_fingerprint
 from repro.core.identification import (
     IdentificationResult,
-    Identifier,
     estimate_threshold_online,
 )
 from repro.core.selection import (
     select_crisis_metrics,
     select_relevant_metrics,
 )
+from repro.core.streaming import identify_slot
 from repro.core.summary import summary_vectors
 from repro.core.thresholds import QuantileThresholds
 from repro.datacenter.trace import CrisisRecord, DatacenterTrace
@@ -181,11 +181,12 @@ class FingerprintPipeline:
         """
         self._require_ready()
         if self.recompute_past_fingerprints:
-            summaries = summary_vectors(known.quantile_window, self.thresholds)
-        else:
-            summaries = known.stale_summary
+            return fingerprint_from_window(
+                known.quantile_window, self.thresholds, self.relevant,
+                n_window_epochs,
+            )
         return fingerprint_from_summaries(
-            summaries, self.relevant, n_window_epochs
+            known.stale_summary, self.relevant, n_window_epochs
         )
 
     def _refingerprint_known(self) -> None:
@@ -217,56 +218,44 @@ class FingerprintPipeline:
     # ------------------------------------------------------------------
 
     def _crisis_window(self, detection_epoch: int) -> np.ndarray:
-        fp_cfg = self.config.fingerprint
-        lo = max(detection_epoch - fp_cfg.pre_epochs, 0)
-        hi = min(detection_epoch + fp_cfg.post_epochs, self.trace.n_epochs - 1)
-        return self.trace.quantiles[lo : hi + 1]
+        span = self.config.fingerprint.window(
+            detection_epoch, self.trace.n_epochs
+        )
+        return self.trace.quantiles[span]
 
     def identify(self, crisis: CrisisRecord) -> CrisisIdentification:
         """Run the five-epoch identification protocol for one crisis.
 
-        Library fingerprints are truncated to the same window as the new
-        crisis's partial fingerprint, and the identification threshold is
-        re-estimated per epoch from the library at the same truncation —
+        At slot k the new crisis and every library crisis are fingerprinted
+        over the first ``pre_epochs + k + 1`` rows of their windows, and the
+        identification threshold is re-estimated from the library at that
+        truncation (:func:`~repro.core.streaming.identify_slot`) —
         partial-window distances live on a smaller scale than full-window
         ones, so a single threshold would over-match in the first epochs.
+        The threshold set on the pipeline applies only while the library
+        yields no estimate.
         """
         self._require_ready()
         if self.identification_threshold is None:
             raise RuntimeError("identification threshold not set")
         if crisis.detected_epoch is None:
             raise ValueError(f"crisis {crisis.index} was never detected")
-        diagnosed = [k for k in self.known if k.label is not None]
+        window = self._crisis_window(crisis.detected_epoch)
+        library = [(kn, kn.label) for kn in self.known if kn.label is not None]
         outcome = CrisisIdentification(crisis_id=crisis.index)
-        det = crisis.detected_epoch
-        pre = self.config.fingerprint.pre_epochs
-        alpha = self.config.identification.alpha
         for k in range(self.config.identification.n_epochs):
-            fp = crisis_fingerprint(
-                self.trace.quantiles,
-                self.thresholds,
-                self.relevant,
-                detection_epoch=det,
-                config=self.config.fingerprint,
-                end_epoch=det + k,
-            )
-            library = [
-                (self._fingerprint_of(kn, n_window_epochs=pre + k + 1),
-                 kn.label)
-                for kn in diagnosed
-            ]
-            threshold = self.identification_threshold
-            if len(library) >= 2:
-                try:
-                    threshold = estimate_threshold_online(
-                        [vec for vec, _ in library],
-                        [label for _, label in library],
-                        alpha,
-                    )
-                except ValueError:
-                    pass
+            depth = self.config.fingerprint.pre_epochs + k + 1
             outcome.results.append(
-                Identifier(threshold).identify(fp.vector, library)
+                identify_slot(
+                    fingerprint_from_window(
+                        window, self.thresholds, self.relevant, depth
+                    ),
+                    library,
+                    self._fingerprint_of,
+                    depth,
+                    self.config.identification.alpha,
+                    threshold=self.identification_threshold,
+                )
             )
         return outcome
 

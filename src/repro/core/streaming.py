@@ -40,8 +40,8 @@ don't-know label rather than risk a misidentification, preserving the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.core.engine import (
 )
 from repro.core.identification import (
     UNKNOWN,
+    IdentificationResult,
     Identifier,
     estimate_threshold_online,
 )
@@ -61,6 +62,43 @@ from repro.core.thresholds import QuantileThresholds
 from repro.telemetry.collector import EpochQuality
 from repro.telemetry.epochs import EpochClock
 from repro.telemetry.validation import validate_epoch_summary
+
+
+def identify_slot(
+    vector: np.ndarray,
+    library: Sequence[Tuple[Any, str]],
+    fingerprint: Callable[[Any, int], np.ndarray],
+    n_epochs: int,
+    alpha: float,
+    threshold: Optional[float] = None,
+) -> IdentificationResult:
+    """One slot of the five-epoch identification protocol (Section 4.3).
+
+    ``vector`` is the new crisis's fingerprint over the first ``n_epochs``
+    rows of its window (``pre_epochs + k + 1`` at slot k), and ``library``
+    holds the diagnosed crises as ``(entry, label)``.  The slot
+    fingerprints every entry at the same depth with ``fingerprint(entry,
+    n_epochs)``, estimates ``T_id`` from those fingerprints by Section
+    5.3's rules (which read every library pair) and matches ``vector``
+    with :class:`~repro.core.identification.Identifier`.  With fewer than
+    two entries, or no ``T_id`` from their pairs, it matches under
+    ``threshold`` instead, and is don't-know when that is None.
+
+    The monitor and the replay pipeline both identify through this
+    function, so the two match in one floating-point order.
+    """
+    vectors = [fingerprint(entry, n_epochs) for entry, _ in library]
+    labels = [label for _, label in library]
+    if len(vectors) >= 2:
+        try:
+            threshold = estimate_threshold_online(vectors, labels, alpha)
+        except ValueError:
+            pass
+    if threshold is None:
+        return IdentificationResult(
+            label=UNKNOWN, nearest_label=None, distance=None, threshold=None
+        )
+    return Identifier(threshold).identify(vector, list(zip(vectors, labels)))
 
 
 @dataclass(frozen=True)
@@ -288,43 +326,30 @@ class StreamingCrisisMonitor:
     def _identify(self, live: _LiveCrisis, epoch: int) -> IdentificationUpdate:
         """One protocol slot: match the live crisis against the library.
 
-        Section 5.3 estimates ``T_id`` from the distances of every pair of
-        diagnosed crises, so each identification reads the whole library:
-        slot ``k`` re-fingerprints every diagnosed window at depth
-        ``pre + k + 1`` under the current thresholds and relevant metrics,
-        and scans it.
+        Slot ``k`` re-fingerprints every diagnosed window at depth
+        ``pre + k + 1`` under the current thresholds and relevant metrics
+        (:func:`identify_slot`).
         """
         k = live.identifications
-        pre = self.config.fingerprint.pre_epochs
-        new_vec = self._fingerprint(live.summaries.view())
-        library = [
-            (self._fingerprint(stored.quantile_window, n_epochs=pre + k + 1),
-             stored.label)
-            for stored in self._library
-            if stored.label is not None
-        ]
-        # Fewer than two diagnosed crises, or a library whose pairs yield
-        # no T_id, leaves the slot at don't-know.
-        result_label, distance = UNKNOWN, None
-        if len(library) >= 2:
-            try:
-                threshold = estimate_threshold_online(
-                    [vec for vec, _ in library],
-                    [label for _, label in library],
-                    self.config.identification.alpha,
-                )
-            except ValueError:
-                pass
-            else:
-                result = Identifier(threshold).identify(new_vec, library)
-                result_label, distance = result.label, result.distance
+        depth = self.config.fingerprint.pre_epochs + k + 1
+        result = identify_slot(
+            self._fingerprint(live.summaries.view(), depth),
+            [
+                (stored.quantile_window, stored.label)
+                for stored in self._library
+                if stored.label is not None
+            ],
+            self._fingerprint,
+            depth,
+            self.config.identification.alpha,
+        )
         live.identifications += 1
         return IdentificationUpdate(
             epoch=epoch,
             crisis_number=live.number,
             identification_epoch=k,
-            label=result_label,
-            distance=distance,
+            label=result.label,
+            distance=result.distance,
         )
 
     def _dont_know(self, live: _LiveCrisis, epoch: int) -> IdentificationUpdate:
@@ -403,14 +428,13 @@ class StreamingCrisisMonitor:
                 untrusted=True,
             )
 
-        pre = self.config.fingerprint.pre_epochs
+        max_window = self.config.fingerprint.n_epochs
         if self._live is None:
             if anomalous and self.ready:
                 self._crisis_counter += 1
                 live = _LiveCrisis(
                     number=self._crisis_counter, detected_epoch=epoch
                 )
-                max_window = pre + self.config.fingerprint.post_epochs + 1
                 live.summaries = WindowBlock.from_rows(
                     list(self._pre_buffer) + [epoch_quantiles],
                     capacity=max_window,
@@ -422,11 +446,10 @@ class StreamingCrisisMonitor:
                 events.append(self._identify(live, epoch))
             else:
                 self._pre_buffer.append(epoch_quantiles)
-                if len(self._pre_buffer) > pre:
+                if len(self._pre_buffer) > self.config.fingerprint.pre_epochs:
                     self._pre_buffer.pop(0)
         else:
             live = self._live
-            max_window = pre + self.config.fingerprint.post_epochs + 1
             if len(live.summaries) < max_window:
                 live.summaries.append(epoch_quantiles)
             if (
@@ -485,4 +508,5 @@ __all__ = [
     "IdentificationUpdate",
     "MonitorEvent",
     "StreamingCrisisMonitor",
+    "identify_slot",
 ]

@@ -9,9 +9,10 @@ assignment radius, or seeds a new cluster otherwise (density
 semantics — discretized fingerprints of a recurring crisis type form a
 tight clump, and a chain of within-radius neighbors is the same
 recurring problem observed at different severities).  Neighbor lookup
-goes through a :class:`repro.index.FingerprintIndex` over every
-clustered fingerprint, so the hot-path assignment is one sub-linear
-radius query — never an all-pairs Python scan over past crises.
+goes through an exact float64 brute-force
+:class:`repro.index.FingerprintIndex` over every clustered fingerprint,
+so the hot-path assignment is one blocked radius query — never an
+all-pairs Python scan over past crises.
 
 Each cluster also maintains its **medoid** (the member minimizing total
 distance to the others) as its catalog representative: promotions store
@@ -108,12 +109,11 @@ class OnlineClusterer:
         self._index = self._new_index()
 
     def _new_index(self) -> FingerprintIndex:
-        kwargs: Dict[str, object] = {}
-        if self.config.backend == "brute":
-            # float64 storage keeps assignment distances bit-identical
-            # across snapshot/restore.
-            kwargs["dtype"] = np.float64
-        return create_index(self.config.backend, self.dim, **kwargs)
+        # Exact float64 brute force: assignment distances stay
+        # bit-identical across snapshot/restore, and the quiescent
+        # partition is exactly the radius graph's connected components,
+        # which an approximate index would not guarantee.
+        return create_index("brute", self.dim, dtype=np.float64)
 
     # -- introspection -----------------------------------------------------
 

@@ -40,7 +40,6 @@ from repro.config import DiscoveryConfig
 from repro.core.atomicio import atomic_write_npz, pack_header, read_npz
 from repro.core.identification import UNKNOWN, is_stable, sequence_label
 from repro.discovery.clusterer import OnlineClusterer
-from repro.index.snapshot import live_backend
 
 #: Format version of standalone discovery state archives.
 DISCOVERY_FORMAT_VERSION = 1
@@ -299,7 +298,9 @@ class DiscoveryEngine:
         incidents=None,
     ) -> "DiscoveryEngine":
         fields = dict(header["config"])
-        fields["backend"] = live_backend(fields["backend"])
+        # Snapshots written while the index backend was a setting carry
+        # a ``backend`` field; the clusterer's index is always brute.
+        fields.pop("backend", None)
         config = DiscoveryConfig(**fields)
         engine = cls(config, incidents=incidents)
         engine.clusterer = OnlineClusterer.from_snapshot(

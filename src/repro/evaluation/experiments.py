@@ -233,11 +233,10 @@ class OnlineIdentificationExperiment:
     # -- chronological parameter estimation ---------------------------------
 
     def _window(self, crisis: CrisisRecord) -> np.ndarray:
-        fp = self.config.fingerprint
-        det = crisis.detected_epoch
-        lo = max(det - fp.pre_epochs, 0)
-        hi = min(det + fp.post_epochs, self.trace.n_epochs - 1)
-        return self.trace.quantiles[lo : hi + 1]
+        span = self.config.fingerprint.window(
+            crisis.detected_epoch, self.trace.n_epochs
+        )
+        return self.trace.quantiles[span]
 
     def _fingerprints_under(
         self,

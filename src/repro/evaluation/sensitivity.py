@@ -22,8 +22,8 @@ from repro.config import (
     SelectionConfig,
     ThresholdConfig,
 )
+from repro.core.engine import fingerprint_from_window
 from repro.core.similarity import pair_arrays
-from repro.core.summary import summary_vectors
 from repro.core.thresholds import (
     QuantileThresholds,
     kpi_correlation_thresholds,
@@ -52,11 +52,9 @@ def _auc_for_thresholds(
         det = crisis.detected_epoch
         lo = max(det + t0, 0)
         hi = min(det + t1, trace.n_epochs - 1)
-        summaries = summary_vectors(
-            trace.quantiles[lo : hi + 1], thresholds
-        )
-        sub = summaries[:, relevant, :].astype(float)
-        vectors.append(sub.reshape(sub.shape[0], -1).mean(axis=0))
+        vectors.append(fingerprint_from_window(
+            trace.quantiles[lo : hi + 1], thresholds, relevant
+        ))
     stacked = np.stack(vectors)
     diff = stacked[:, None, :] - stacked[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))

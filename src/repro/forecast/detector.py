@@ -9,9 +9,9 @@ and the alarm threshold picked from the training ROC
 point with the best recall whose normal-epoch alarm rate stays within
 budget, replacing the quantile-only threshold of the offline demo.
 
-Stage 2 — *which fingerprint?* — scores the current partial fingerprint
+Stage 2 — *which fingerprint?* — matches the current partial fingerprint
 (the mean of the last ``pre_epochs + 1`` summary vectors) against the
-incident catalog through the existing :class:`repro.index.FingerprintIndex`,
+incident catalog with :class:`repro.core.identification.Identifier`,
 gated by the Section 5.1.2 identification threshold estimated over the
 catalog; a match beyond the threshold reports the don't-know label
 rather than guessing.
@@ -23,8 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.identification import UNKNOWN, estimate_threshold_online
-from repro.index import create_index
+from repro.core.identification import (
+    UNKNOWN,
+    Identifier,
+    estimate_threshold_online,
+)
 from repro.ml.crossval import kfold_indices
 from repro.ml.logistic import L1LogisticRegression, LogisticModel, lambda_max
 from repro.ml.roc import roc_curve
@@ -82,7 +85,6 @@ class TwoStageDetector:
         self._catalog_vectors: Optional[np.ndarray] = None
         self._catalog_labels: List[str] = []
         self.match_threshold: Optional[float] = None
-        self._index = None  # lazily rebuilt FingerprintIndex
 
     # -- stage 1: imminence -----------------------------------------------
 
@@ -210,7 +212,6 @@ class TwoStageDetector:
             )
         except ValueError:
             self.match_threshold = None  # ungated nearest-entry matching
-        self._index = None
 
     @property
     def catalog_size(self) -> int:
@@ -218,36 +219,19 @@ class TwoStageDetector:
             self._catalog_labels
         )
 
-    def _catalog_index(self):
-        if self._index is None:
-            if self._catalog_vectors is None:
-                raise RuntimeError("detector stage 2 has no catalog")
-            index = create_index(
-                "brute", self._catalog_vectors.shape[1], dtype=np.float64
-            )
-            for i, vec in enumerate(self._catalog_vectors):
-                index.add(vec, id=i, payload=self._catalog_labels[i])
-            self._index = index
-        return self._index
-
     def identify(
         self, fingerprint: np.ndarray
     ) -> Tuple[str, Optional[float]]:
         """Name the impending crisis from a partial fingerprint."""
         if self._catalog_vectors is None:
             return UNKNOWN, None
-        hits = self._catalog_index().query(
-            np.asarray(fingerprint, dtype=np.float64), k=1
+        threshold = (
+            np.inf if self.match_threshold is None else self.match_threshold
         )
-        if not hits:
-            return UNKNOWN, None
-        hit = hits[0]
-        if (
-            self.match_threshold is not None
-            and hit.distance >= self.match_threshold
-        ):
-            return UNKNOWN, float(hit.distance)
-        return str(hit.payload), float(hit.distance)
+        result = Identifier(threshold).identify(
+            fingerprint, list(zip(self._catalog_vectors, self._catalog_labels))
+        )
+        return result.label, result.distance
 
     # -- snapshot ----------------------------------------------------------
 

@@ -30,12 +30,12 @@ from repro.config import (
     SelectionConfig,
     ThresholdConfig,
 )
+from repro.core.engine import fingerprint_from_window
 from repro.core.streaming import (
     CrisisDetected,
     CrisisEnded,
     StreamingCrisisMonitor,
 )
-from repro.core.summary import summary_vectors
 from repro.forecast.detector import TwoStageDetector, normalize_fingerprint
 from repro.forecast.engine import ForecastEngine
 from repro.forecast.features import OnlineFeatureExtractor
@@ -238,11 +238,9 @@ def train_forecaster(
             window = trace.quantiles[max(stop - pre, 0):stop + 1]
             if window.shape[0] == 0:
                 continue
-            summary = summary_vectors(window, thresholds)
-            vec = (
-                summary[:, relevant, :].astype(float).mean(axis=0).reshape(-1)
+            unit = normalize_fingerprint(
+                fingerprint_from_window(window, thresholds, relevant)
             )
-            unit = normalize_fingerprint(vec)
             if not unit.any():
                 continue
             vectors.append(unit)

@@ -18,6 +18,7 @@ from repro.core.selection import (
     select_crisis_metrics,
     select_relevant_metrics,
 )
+from repro.core.similarity import l2_distance
 from repro.core.thresholds import QuantileThresholds, percentile_thresholds
 from repro.datacenter.trace import CrisisRecord, DatacenterTrace
 from repro.methods.base import OfflineMethod
@@ -93,16 +94,15 @@ class FingerprintMethod(OfflineMethod):
         """Crisis fingerprint, optionally truncated to the first n epochs."""
         if self.trace is None or self.thresholds is None:
             raise RuntimeError("method is not fitted")
-        fp = self.config.fingerprint
         det = crisis.detected_epoch
         if det is None:
             raise ValueError("crisis was never detected")
-        lo = max(det - fp.pre_epochs, 0)
-        hi = min(det + fp.post_epochs, self.trace.n_epochs - 1)
-        window = self.trace.quantiles[lo : hi + 1]
-        if n_epochs is not None:
-            window = window[: max(n_epochs, 1)]
-        return fingerprint_from_window(window, self.thresholds, self.relevant)
+        span = self.config.fingerprint.window(
+            det, self.trace.n_epochs, n_epochs
+        )
+        return fingerprint_from_window(
+            self.trace.quantiles[span], self.thresholds, self.relevant
+        )
 
     def pair_distance(
         self,
@@ -110,9 +110,9 @@ class FingerprintMethod(OfflineMethod):
         known: CrisisRecord,
         n_epochs: Optional[int] = None,
     ) -> float:
-        va = self.vector(new, n_epochs)
-        vb = self.vector(known, n_epochs)
-        return float(np.linalg.norm(va - vb))
+        return l2_distance(
+            self.vector(new, n_epochs), self.vector(known, n_epochs)
+        )
 
 
 class AllMetricsFingerprintMethod(FingerprintMethod):

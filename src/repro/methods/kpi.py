@@ -15,6 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.config import FingerprintConfig
+from repro.core.similarity import l2_distance
 from repro.datacenter.trace import CrisisRecord, DatacenterTrace
 from repro.methods.base import OfflineMethod
 
@@ -39,13 +40,8 @@ class KPIMethod(OfflineMethod):
         det = crisis.detected_epoch
         if det is None:
             raise ValueError("crisis was never detected")
-        fp = self.fingerprint
-        lo = max(det - fp.pre_epochs, 0)
-        hi = min(det + fp.post_epochs, self.trace.n_epochs - 1)
-        window = self.trace.kpi_violation_fraction[lo : hi + 1]
-        if n_epochs is not None:
-            window = window[: max(n_epochs, 1)]
-        return window.mean(axis=0)
+        span = self.fingerprint.window(det, self.trace.n_epochs, n_epochs)
+        return self.trace.kpi_violation_fraction[span].mean(axis=0)
 
     def pair_distance(
         self,
@@ -53,9 +49,8 @@ class KPIMethod(OfflineMethod):
         known: CrisisRecord,
         n_epochs: Optional[int] = None,
     ) -> float:
-        return float(
-            np.linalg.norm(self.vector(new, n_epochs)
-                           - self.vector(known, n_epochs))
+        return l2_distance(
+            self.vector(new, n_epochs), self.vector(known, n_epochs)
         )
 
 

@@ -104,11 +104,10 @@ class SignaturesMethod(OfflineMethod):
     def _training_epochs(self, crisis: CrisisRecord):
         """Crisis-epoch and normal-epoch indices for one crisis's model."""
         det = crisis.detected_epoch
-        fp = self.fingerprint
-        hi = min(det + fp.post_epochs, self.trace.n_epochs - 1)
-        crisis_idx = np.arange(det, hi + 1)
+        span = self.fingerprint.window(det, self.trace.n_epochs)
+        crisis_idx = np.arange(det, span.stop)
         # Crisis-free epochs immediately preceding the summary window.
-        lo_search = max(det - fp.pre_epochs - 1, 0)
+        lo_search = max(span.start - 1, 0)
         candidates = np.arange(max(lo_search - 4 * self.normal_epochs, 0),
                                lo_search)
         normal_mask = ~self.trace.anomalous[candidates]
@@ -167,13 +166,8 @@ class SignaturesMethod(OfflineMethod):
         det = crisis.detected_epoch
         if det is None:
             raise ValueError("crisis was never detected")
-        fp = self.fingerprint
-        lo = max(det - fp.pre_epochs, 0)
-        hi = min(det + fp.post_epochs, self.trace.n_epochs - 1)
-        window = self._flat_quantiles()[lo : hi + 1]
-        if n_epochs is not None:
-            window = window[: max(n_epochs, 1)]
-        return model.attribute(window).mean(axis=0)
+        span = self.fingerprint.window(det, self.trace.n_epochs, n_epochs)
+        return model.attribute(self._flat_quantiles()[span]).mean(axis=0)
 
     def pair_distance(
         self,

@@ -12,6 +12,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import FingerprintConfig
+from repro.core.engine import fingerprint_from_summaries
 from repro.core.summary import summary_vectors
 from repro.core.thresholds import QuantileThresholds
 from repro.datacenter.trace import CrisisRecord, DatacenterTrace
@@ -48,13 +50,11 @@ def crisis_dossier(
     det = crisis.detected_epoch
     relevant = np.asarray(relevant, dtype=int)
 
-    lo = max(det - 2, 0)
-    hi = min(det + 4, trace.n_epochs - 1)
-    window = trace.quantiles[lo : hi + 1]
+    window = trace.quantiles[FingerprintConfig().window(det, trace.n_epochs)]
     summaries = summary_vectors(window, thresholds)
     sub = summaries[:, relevant, :]
     flat = sub.reshape(sub.shape[0], -1)
-    means = flat.astype(float).mean(axis=0)
+    means = fingerprint_from_summaries(summaries, relevant)
 
     lines: List[str] = []
     day = det // trace.epochs_per_day

@@ -220,15 +220,15 @@ def test_a_save_over_another_monitors_head_starts_a_generation(
     second = make_monitor()
     drive(second, 0, 40)
     # A head write that fails leaves the previous checkpoint whole.
-    real = checkpoint._atomic_write_npz
+    real = checkpoint.atomic_write_npz
 
     def disk_full(*args):
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(checkpoint, "_atomic_write_npz", disk_full)
+    monkeypatch.setattr(checkpoint, "atomic_write_npz", disk_full)
     with pytest.raises(OSError):
         save_monitor(second, path)
-    monkeypatch.setattr(checkpoint, "_atomic_write_npz", real)
+    monkeypatch.setattr(checkpoint, "atomic_write_npz", real)
     assert_same_monitor(load(path), first)
     assert any(".2." in n for n in on_disk(tmp_path))
     # The next save writes generation 3 and deletes everything else.

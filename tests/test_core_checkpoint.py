@@ -356,13 +356,13 @@ class TestMonitorHeader:
         for _ in range(12):
             monitor.ingest(np.sort(rng.normal(size=(4, 3)), axis=1), 0.0)
         encoded = []
-        real = checkpoint._pack_header
+        real = checkpoint.pack_header
 
         def spy(header):
             encoded.append(list(header))
             return real(header)
 
-        monkeypatch.setattr(checkpoint, "_pack_header", spy)
+        monkeypatch.setattr(checkpoint, "pack_header", spy)
         path = tmp_path / "monitor.npz"
         save_monitor(monitor, path, extra={"applied_seq": 3})
         assert encoded == [MONITOR_HEADER_KEYS]

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import FingerprintConfig
-from repro.core.fingerprint import (
-    CrisisFingerprint,
-    crisis_fingerprint,
-    epoch_fingerprints,
-)
+from repro.core.fingerprint import CrisisFingerprint, crisis_fingerprint
 from repro.core.thresholds import QuantileThresholds
+
+#: An epoch fingerprint is a crisis fingerprint over a one-epoch window.
+ONE_EPOCH = FingerprintConfig(pre_epochs=0, post_epochs=0)
 
 
 def thresholds(n_metrics, n_q=3):
@@ -27,20 +26,23 @@ def quantile_trace(n_epochs=30, n_metrics=6, n_q=3, seed=0):
 class TestEpochFingerprints:
     def test_shape_restricts_to_relevant(self):
         q = quantile_trace()
-        out = epoch_fingerprints(q, thresholds(6), np.array([0, 3]))
-        assert out.shape == (30, 2 * 3)
+        fp = crisis_fingerprint(q, thresholds(6), np.array([0, 3]),
+                                detection_epoch=12, config=ONE_EPOCH)
+        assert fp.n_epochs == 1
+        assert fp.vector.shape == (2 * 3,)
 
     def test_hot_cold_encoding(self):
-        q = np.zeros((1, 2, 3))
+        q = np.zeros((1, 3, 3))
         q[0, 0, :] = 5.0  # hot
-        q[0, 1, :] = -5.0  # cold
-        out = epoch_fingerprints(q, thresholds(2), np.array([0, 1]))
-        np.testing.assert_array_equal(out[0], [1, 1, 1, -1, -1, -1])
+        q[0, 2, :] = -5.0  # cold
+        fp = crisis_fingerprint(q, thresholds(3), np.array([2, 0]),
+                                detection_epoch=0, config=ONE_EPOCH)
+        np.testing.assert_array_equal(fp.vector, [-1, -1, -1, 1, 1, 1])
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            epoch_fingerprints(np.zeros((2, 3)), thresholds(2),
-                               np.array([0]))
+            crisis_fingerprint(np.zeros((2, 3)), thresholds(2),
+                               np.array([0]), detection_epoch=0)
 
 
 class TestCrisisFingerprint:

@@ -156,22 +156,24 @@ class TestCheckpoint:
     def test_kdtree_configured_state_loads_as_brute(
         self, replayed, tmp_path
     ):
-        """State saved under the retired exact k-d tree backend restores
-        on brute, which gives the same exact assignments."""
+        """State saved under any backend name, the retired exact k-d tree
+        included, restores on brute, which gives the same exact
+        assignments."""
         path = tmp_path / "discovery.npz"
         save_discovery(replayed.engine, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         header = unpack_header(arrays)
-        header["config"]["backend"] = "kdtree"
-        arrays["header"] = pack_header(header)
-        np.savez(path, **arrays)
-        loaded = load_discovery(path)
-        assert loaded.config.backend == "brute"
-        assert (
-            loaded.clusterer.partition()
-            == replayed.engine.clusterer.partition()
-        )
+        for backend in ("kdtree", "lsh", "brute"):
+            header["config"]["backend"] = backend
+            arrays["header"] = pack_header(header)
+            np.savez(path, **arrays)
+            loaded = load_discovery(path)
+            assert loaded.clusterer._index.backend == "brute"
+            assert (
+                loaded.clusterer.partition()
+                == replayed.engine.clusterer.partition()
+            )
 
     def test_load_rejects_non_discovery_archives(self, replayed, tmp_path):
         path = tmp_path / "monitor.npz"

@@ -99,7 +99,6 @@ def use_legacy_refresh(monitor):
         self.thresholds = percentile_thresholds(
             np.stack(window), cfg_t.cold_percentile, cfg_t.hot_percentile
         )
-        self.version += 1
         return True
 
     engine = monitor.engine

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import DiscoveryConfig
 from repro.core.atomicio import pack_header, unpack_header
 from repro.index import (
     BruteForceIndex,
@@ -231,8 +230,6 @@ class TestRetiredKDTree:
     def test_kdtree_is_no_longer_a_choice(self):
         with pytest.raises(ValueError):
             create_index("kdtree", 3)
-        with pytest.raises(ValueError):
-            DiscoveryConfig(backend="kdtree")
 
 
 class TestBruteExactness:
