@@ -15,7 +15,10 @@ endian).  The payload's first byte says how it is encoded:
   included), then the ``len(machines) × k`` value matrix as raw
   little-endian float64.  Both encodings round-trip a float exactly,
   so replay hands back the same record dict either way; the binary one
-  costs a memory copy instead of a ``repr`` per value.
+  costs no ``repr`` per value.  The wire parser's float64 matrix is
+  written from its own buffer, without an intermediate copy; a record
+  whose values are lists is converted first.  Replay returns the values
+  as lists of Python floats.
 
 The CRC plus length prefix makes every torn-write mode detectable on
 replay:
@@ -95,15 +98,17 @@ def _json(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
-def _batch_payload(record: dict) -> bytes:
-    """A ``report_batch`` as tag + JSON header + raw float64 matrix.
+def _batch_payload(record: dict) -> Tuple[bytes, memoryview]:
+    """A ``report_batch`` as tag + JSON header, then the raw float64
+    matrix as a byte view of the values' own buffer when they already
+    are a C-contiguous float64 array.
 
     Raises ``ValueError`` unless ``values`` is a ``len(machines) × k``
     matrix of floats (``k ≥ 1``).
     """
     machines = record.get("machines")
     try:
-        matrix = np.asarray(record["values"], dtype=_FLOAT)
+        matrix = np.ascontiguousarray(record["values"], dtype=_FLOAT)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"report_batch values are not a float matrix: {exc!r}"
@@ -119,15 +124,20 @@ def _batch_payload(record: dict) -> bytes:
             "non-empty len(machines) x k matrix"
         )
     head = _json({k: v for k, v in record.items() if k != "values"})
-    return _BATCH_HEAD.pack(_BATCH_TAG, len(head)) + head + matrix.tobytes()
+    return (
+        _BATCH_HEAD.pack(_BATCH_TAG, len(head)) + head,
+        memoryview(matrix).cast("B"),
+    )
 
 
-def _frame(record: dict) -> bytes:
+def _frame(record: dict) -> List[bytes | memoryview]:
+    """One record's frame as the buffers to write, in order."""
     if record.get("op") == "report_batch":
-        payload = _batch_payload(record)
-    else:
-        payload = _json(record)
-    return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
+        head, block = _batch_payload(record)
+        crc = zlib.crc32(block, zlib.crc32(head))
+        return [_PREFIX.pack(len(head) + len(block), crc) + head, block]
+    payload = _json(record)
+    return [_PREFIX.pack(len(payload), zlib.crc32(payload)) + payload]
 
 
 def _decode(payload: bytes, values: bool) -> dict:
@@ -261,13 +271,14 @@ class WriteAheadJournal:
         try:
             for i, frame in enumerate(frames):
                 if self.write_hook is not None:
-                    replacement = self.write_hook(frame)
+                    replacement = self.write_hook(b"".join(frame))
                     if replacement is not None:
                         # Torn write: persist the damage, then die.
                         self._fh.write(replacement)
                         written = i
                         break
-                self._fh.write(frame)
+                for part in frame:
+                    self._fh.write(part)
             self._fh.flush()
             os.fsync(self._fh.fileno())
         except OSError:
@@ -293,7 +304,7 @@ class WriteAheadJournal:
             record["seq"] = seq
         end = start
         for frame, seq in zip(frames[:written], seqs):
-            end += len(frame)
+            end += sum(map(len, frame))
             index.append(seq)
             self._ends.append(end)
         if written < len(frames):

@@ -213,19 +213,25 @@ class IngestServer:
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         conn.settimeout(self.cfg.idle_timeout_s)
-        buffer = b""
+        # The unfinished frame, as the pieces received since its start.
+        # Only a new chunk is searched for newlines (``find``, a memchr;
+        # ``split`` walks byte by byte), and a frame that spans chunks
+        # is joined once, when its newline arrives, so each received
+        # byte is scanned once and copied about once.
+        partial: List[bytes] = []
+        partial_bytes = 0
         try:
             while not self._stopping.is_set():
                 try:
                     chunk = conn.recv(65536)
                 except socket.timeout:
-                    if buffer:
+                    if partial:
                         # Mid-frame stall: the slow-loris signature.
                         self.slowloris_drops += 1
                         logger.warning(
                             "dropping slow-loris connection %s "
                             "(%d bytes stalled mid-frame)",
-                            addr, len(buffer),
+                            addr, partial_bytes,
                         )
                         return
                     continue
@@ -233,15 +239,23 @@ class IngestServer:
                     return
                 if not chunk:
                     return
-                buffer += chunk
-                if b"\n" not in buffer:
-                    if len(buffer) > self.cfg.max_frame_bytes:
+                lines: List[bytes] = []
+                start, end = 0, chunk.find(b"\n")
+                while end >= 0:
+                    partial.append(chunk[start:end])
+                    lines.append(b"".join(partial))
+                    partial, partial_bytes = [], 0
+                    start, end = end + 1, chunk.find(b"\n", end + 1)
+                if start < len(chunk):
+                    partial.append(chunk[start:])
+                    partial_bytes += len(chunk) - start
+                if not lines:
+                    if partial_bytes > self.cfg.max_frame_bytes:
                         conn.sendall(wire.encode_frame(
                             wire.error_response("frame-too-long")
                         ))
                         return
                     continue
-                *lines, buffer = buffer.split(b"\n")
                 responses, handoff = self._handle_lines(lines)
                 if responses:
                     conn.sendall(b"".join(
@@ -254,7 +268,7 @@ class IngestServer:
                     request, leftover = handoff
                     conn.settimeout(None)
                     self.hub.serve_subscriber(
-                        conn, addr, request, leftover, buffer
+                        conn, addr, request, leftover, b"".join(partial)
                     )
                     return
         except JournalTornWrite as exc:

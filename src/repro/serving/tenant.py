@@ -25,6 +25,9 @@ without corrupting state.
 wire parser turns a single ``report`` into a one-row batch); only
 recovery meets the ``report`` records of older journals, and converts
 them with the parser's own :func:`~repro.serving.wire.report_as_batch`.
+A live record's ``values`` is the parser's float64 matrix, read in
+place; the lists of a replayed journal record, or of a hand-built one,
+pass through the same ``np.asarray``, which converts them once.
 
 **Checkpoint cadence.**  Every ``checkpoint_every_epochs`` closed
 epochs, the runtime checkpoints the monitor with the journal cursor,
@@ -69,6 +72,14 @@ DUPLICATE = "duplicate"
 BAD_EPOCH = "bad-epoch"
 BAD_SHAPE = "bad-shape"
 UNKNOWN_CRISIS = "unknown-crisis"
+
+
+def _batch_values(record: dict) -> np.ndarray:
+    """A ``report_batch`` record's values as a float64 matrix.
+
+    The wire parser's matrix comes back as is; lists are converted.
+    """
+    return np.asarray(record["values"], dtype=np.float64)
 
 
 def monitor_config(cfg: ServingConfig) -> FingerprintingConfig:
@@ -205,8 +216,8 @@ class TenantRuntime:
             return APPLIED if record["crisis"] in numbers else UNKNOWN_CRISIS
         if kind not in ("report_batch", "close_epoch"):
             raise ValueError(f"unjournalable record kind {kind!r}")
-        if kind == "report_batch" and any(
-            len(row) != self.cfg.n_metrics for row in record["values"]
+        if kind == "report_batch" and (
+            _batch_values(record).shape[1:] != (self.cfg.n_metrics,)
         ):
             return BAD_SHAPE
         if next_epoch is None:
@@ -222,6 +233,10 @@ class TenantRuntime:
         """Apply one journaled record; returns ``(status, wire events)``."""
         if self.fault_hook is not None:
             self.fault_hook(record)
+        if record["op"] == "report_batch":
+            # Convert a replayed record's lists once, for the width
+            # check and the apply alike.
+            record = {**record, "values": _batch_values(record)}
         status = self.classify(record)
         seq = record.get("seq")
         if seq is not None:
@@ -243,7 +258,7 @@ class TenantRuntime:
 
     def _apply_report_batch(self, record: dict) -> None:
         machines = record["machines"]
-        values = np.asarray(record["values"], dtype=float)
+        values = record["values"]
         if self.health is None:
             self.health = AgentHealthTracker(list(machines))
         else:

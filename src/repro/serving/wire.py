@@ -14,11 +14,15 @@ Requests (``op`` selects the verb):
     — many machines' metric vectors for epoch ``e`` in one frame.  The
     value matrix is validated and decoded in one vectorized numpy pass
     (the only per-machine Python work is the id strings), and machine
-    ids must not repeat within a frame.  Reports are *epoch-addressed*
-    so a client that resends after a reconnect is safe: a frame for an
-    already-closed epoch is acknowledged as a duplicate no-op, never
-    applied twice.  Acks carry ``n``, the number of machine reports the
-    frame covered.  A row that is not the tenant's ``n_metrics`` wide
+    ids must not repeat within a frame.  The validated request carries
+    that matrix as its ``values``: a read-only, C-contiguous float64
+    array, which the journal, the tenant and the epoch block read
+    without converting it.  It becomes JSON again only where a record
+    leaves the process (:func:`encode_frame`, on the replication
+    stream).  Reports are *epoch-addressed*, so a client that resends
+    after a reconnect is safe: a frame for an already-closed epoch is
+    acknowledged as a duplicate no-op, never applied twice.  Acks carry
+    ``n``, the number of machine reports the frame covered.  A row that is not the tenant's ``n_metrics`` wide
     is rejected with ``bad-shape`` before it is journaled (the wire
     layer does not know the tenant's configuration).
 ``report``
@@ -122,9 +126,25 @@ class MalformedFrame(ValueError):
     """The frame is not a valid request (bad JSON, wrong shape/types)."""
 
 
+def _json_default(obj: Any) -> Any:
+    """A value matrix leaves the process as nested float lists.
+
+    ``tolist`` yields Python floats, so the frame is byte-identical to
+    the one its list form encodes to, ``NaN`` and ``Infinity`` tokens
+    included.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable"
+    )
+
+
 def encode_frame(obj: Dict[str, Any]) -> bytes:
     """One wire frame: compact JSON + newline."""
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    return json.dumps(
+        obj, separators=(",", ":"), default=_json_default
+    ).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
@@ -219,7 +239,9 @@ def parse_request(obj: Dict[str, Any]) -> Dict[str, Any]:
 
     Returns a fresh dict holding only the validated fields, so a frame
     smuggling extra keys cannot reach the journal.  A ``report`` comes
-    back as its one-row ``report_batch``.
+    back as its one-row ``report_batch``.  A ``report_batch``'s
+    ``values`` is the ``len(machines) × k`` float64 matrix it was
+    validated into (read-only, C-contiguous), not a list.
     """
     op = obj.get("op")
     if op not in OPS:
@@ -243,6 +265,11 @@ def parse_request(obj: Dict[str, Any]) -> Dict[str, Any]:
             raise MalformedFrame(
                 "report_batch machines must not repeat within a frame"
             )
+        if isinstance(obj.get("values"), np.ndarray):
+            # A request this parser already validated: its matrix is
+            # checked again as the lists it stands for, so the parser
+            # stays a fixed point of its own output.
+            obj = {**obj, "values": obj["values"].tolist()}
         values = _require(obj, "values", list, "report_batch")
         if len(values) != len(machines):
             raise MalformedFrame(
@@ -280,15 +307,18 @@ def parse_request(obj: Dict[str, Any]) -> Dict[str, Any]:
             )
         if not set(map(type, violations)) <= {bool}:
             raise MalformedFrame("report_batch violations must be booleans")
+        # The validated matrix is the record's values: the journal
+        # writes its buffer as raw float64, the tenant reads it in
+        # place, and the replication stream encodes it as repr-based
+        # JSON; each round-trips a float64 bit for bit.  Read-only, so
+        # no consumer can change what another one journals or applies.
+        matrix.flags.writeable = False
         return _optional_fence(obj, {
             "op": "report_batch",
             "tenant": tenant,
             "epoch": epoch,
             "machines": list(machines),
-            # Canonical float lists: the journal stores them as raw
-            # float64 and the replication stream as repr-based JSON,
-            # and both round-trip a float64 bit for bit.
-            "values": matrix.tolist(),
+            "values": matrix,
             "violations": list(violations),
         }, "report_batch")
     if op == "close_epoch":

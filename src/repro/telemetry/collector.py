@@ -58,12 +58,23 @@ class MachineAgent:
         self._index = {m: i for i, m in enumerate(self.metric_names)}
         self._sums = np.zeros(len(self.metric_names))
         self._counts = np.zeros(len(self.metric_names), dtype=int)
-        self._dropped = 0
+        self._dropped = np.zeros(len(self.metric_names), dtype=int)
 
     @property
     def dropped_samples(self) -> int:
         """Non-finite samples dropped since the last flush."""
-        return self._dropped
+        return int(self._dropped.sum())
+
+    def drops_not_flushed(self) -> int:
+        """Dropped samples the next :meth:`flush` does not carry as NaN.
+
+        A metric whose every sample since the last flush was dropped
+        flushes as a NaN entry, which stands for one of its drops; the
+        others, and every drop of a metric that kept a finite sample,
+        are counted here.
+        """
+        all_dropped = (self._dropped > 0) & (self._counts == 0)
+        return self.dropped_samples - int(all_dropped.sum())
 
     def record(self, metric: str, value: float) -> None:
         """Record one sample (metrics may be sampled sub-epoch)."""
@@ -74,7 +85,7 @@ class MachineAgent:
         if not np.isfinite(value):
             if self.strict:
                 raise ValueError(f"non-finite sample for {metric}")
-            self._dropped += 1
+            self._dropped[i] += 1
             return
         self._sums[i] += value
         self._counts[i] += 1
@@ -93,7 +104,7 @@ class MachineAgent:
         if not finite.all():
             if self.strict:
                 raise ValueError("non-finite sample")
-            self._dropped += int((~finite).sum())
+            self._dropped += ~finite
         self._sums[finite] += values[finite]
         self._counts[finite] += 1
 
@@ -106,7 +117,7 @@ class MachineAgent:
             )
         self._sums[:] = 0.0
         self._counts[:] = 0
-        self._dropped = 0
+        self._dropped[:] = 0
         return out
 
 
@@ -117,12 +128,21 @@ class EpochQuality:
     Downstream consumers gate on :attr:`coverage` (reporting fraction of
     the expected fleet) and :attr:`quorum_met`; the remaining counters
     exist for operator dashboards and postmortems.
+
+    :attr:`dropped_samples` counts each missing or non-finite sample
+    once: every non-finite entry of a report that reaches the close,
+    plus each agent-side drop that the agent's flushed report does not
+    carry as such an entry (:meth:`MachineAgent.drops_not_flushed`).  A
+    metric whose only samples were dropped flushes as one NaN entry,
+    which stands for one of those drops.  A row with no finite entry is
+    no report (the machine is silent), and its entries are not counted.
+    The serving tenant, which receives flushed reports, counts the same.
     """
 
     epoch: int
     n_reporting: int
     fleet_size: Optional[int] = None  # None when the fleet is unknown
-    dropped_samples: int = 0  # non-finite entries dropped fleet-wide
+    dropped_samples: int = 0  # missing or non-finite samples, see above
     n_stale_agents: int = 0
     n_dead_agents: int = 0
     quorum_met: bool = True
@@ -395,7 +415,7 @@ class CollectionPipeline:
         """Flush every agent into the aggregator and emit the summary."""
         epoch = self.aggregator.epoch
         for mid, agent in self.agents.items():
-            self.aggregator.note_dropped(agent.dropped_samples)
+            self.aggregator.note_dropped(agent.drops_not_flushed())
             report = agent.flush()
             if is_report(report):
                 self.aggregator.submit(report)

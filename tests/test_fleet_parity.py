@@ -214,6 +214,36 @@ def test_exact_pipeline_bit_identical(plane, tmp_path, monkeypatch):
         assert_same_close(summary, quality, ref)
 
 
+def test_agent_drops_are_counted_once(tmp_path, monkeypatch):
+    # Agents record every sample, non-finite ones too, and each sample
+    # is its metric's only one in the epoch: the agent drops it and its
+    # flushed report carries it as a NaN entry.  The collector counts it
+    # once, as the tenant fed the flushed reports does.  Epoch 2's row 7
+    # holds no finite sample: no report on either plane, and no drops.
+    machine_ids = [f"host-{i:03d}" for i in range(40)]
+    epochs, _ = degraded_epochs(len(machine_ids))
+    single = CollectionPipeline(machine_ids, METRICS, quantiles=QUANTILES)
+    reference = []
+    for matrix in epochs:
+        for mid, row in zip(machine_ids, matrix):
+            single.agents[mid].record_all(row)
+        reference.append(single.close_epoch())
+    reported = [np.isfinite(m).any(axis=1) for m in epochs]
+    assert [r.quality.dropped_samples for r in reference] == [
+        int((~np.isfinite(m[ok])).sum()) for m, ok in zip(epochs, reported)
+    ]
+    assert [r.quality.n_reporting for r in reference] == [40, 40, 39, 40]
+
+    seen = record_ingests(monkeypatch)
+    every_row = [list(range(len(machine_ids)))] * len(epochs)
+    drive_tenant(
+        tmp_path, tenant_records(epochs, machine_ids, every_row, True)
+    )
+    assert len(seen) == len(reference)
+    for (summary, quality), ref in zip(seen, reference):
+        assert_same_close(summary, quality, ref)
+
+
 def test_wire_non_finite_tokens_are_missing_samples(tmp_path, monkeypatch):
     # JSON's NaN, Infinity and -Infinity tokens parse into the values of
     # a report_batch; the tenant drops and counts each as a missing

@@ -103,12 +103,20 @@ class TestAppendReplay:
         values += SPECIAL
         matrix = [values + ODD_NANS, values[::-1] + ODD_NANS[::-1]]
         record = {**batch(0, rows=2), "values": matrix}
+        # The wire parser's read-only float64 matrix, written from its
+        # own buffer, replays to the same lists.
+        array = np.array(matrix)
+        array.flags.writeable = False
+        parsed = {**batch(1, rows=2), "values": array}
         with WriteAheadJournal(tmp_path / "j.wal") as j:
-            j.append_many([{"values": values}, record])
-            plain, raw = j.replay()
+            j.append_many([{"values": values}, record, parsed])
+            plain, raw, from_array = j.replay()
         np.testing.assert_array_equal(bits(plain["values"]), bits(values))
-        np.testing.assert_array_equal(bits(raw["values"]), bits(matrix))
-        assert all(type(v) is float for row in raw["values"] for v in row)
+        for got in (raw, from_array):
+            np.testing.assert_array_equal(bits(got["values"]), bits(matrix))
+            assert all(
+                type(v) is float for row in got["values"] for v in row
+            )
 
     def test_report_batch_replays_the_record_it_appended(self, tmp_path):
         records = [batch(0), {"op": "close_epoch", "epoch": 0}, batch(1)]

@@ -1,5 +1,6 @@
 """Front-door behavior over real sockets: admission, defense, isolation."""
 
+import itertools
 import socket
 import threading
 import time
@@ -324,6 +325,70 @@ class TestSlowLoris:
             assert json.loads(buf.split(b"\n")[0])["error"] == (
                 "frame-too-long"
             )
+        sock.close()
+
+
+def _window():
+    """Frames of one pipelined window: reports, a batch, a close, a
+    blank keep-alive line, a malformed frame and two reads."""
+    frames = [wire.encode_frame(report(0, machine=f"m{i}")) for i in range(3)]
+    frames.append(wire.encode_frame({
+        "op": "report_batch", "tenant": "t", "epoch": 0,
+        "machines": ["m3", "m4"], "values": [[1.5] * 4, [2.5] * 4],
+        "violations": [False, True],
+    }))
+    frames += [
+        b"\n", b"not json\n",
+        wire.encode_frame({"op": "close_epoch", "tenant": "t", "epoch": 0}),
+        wire.encode_frame({"op": "ping"}),
+        wire.encode_frame({"op": "state", "tenant": "t"}),
+    ]
+    return b"".join(frames)
+
+
+def _acks_for(root, window, piece_sizes):
+    """The acks a fresh server sends for ``window`` delivered in pieces
+    of the given sizes, cycled."""
+    srv = IngestServer(small_cfg(), root)
+    srv.start()
+    try:
+        sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        at, sizes = 0, itertools.cycle(piece_sizes)
+        while at < len(window):
+            size = next(sizes)
+            sock.sendall(window[at:at + size])
+            at += size
+        acks = read_frames(sock, window.count(b"\n") - 1)
+        sock.close()
+    finally:
+        srv.close()
+    return acks
+
+
+class TestReceiveLoop:
+    def test_tiny_pieces_are_acked_like_whole_chunks(self, tmp_path):
+        window = _window()
+        whole = _acks_for(tmp_path / "whole", window, [65536])
+        tiny = _acks_for(tmp_path / "tiny", window, [1, 7, 3, 5, 2, 6, 4])
+        assert tiny == whole
+        assert [a.get("error") for a in whole] == [
+            None, None, None, None, "malformed", None, None, None,
+        ]
+        assert whole[-1]["state"]["next_epoch"] == 1
+
+    def test_unterminated_frame_past_the_cap_in_pieces(self, server):
+        srv = server(max_frame_bytes=256)
+        sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # 37 pieces of 7 bytes: only the last one passes the cap, so the
+        # server has read everything sent when it answers and hangs up.
+        frame = b'{"op": "' + b"x" * 251
+        for at in range(0, len(frame), 7):
+            sock.sendall(frame[at:at + 7])
+        [resp] = read_frames(sock, 1)
+        assert resp["error"] == "frame-too-long"
+        assert sock.recv(4096) == b""
         sock.close()
 
 

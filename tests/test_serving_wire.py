@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,18 @@ def roundtrip(obj):
     return parse_request(decode_frame(encode_frame(obj)))
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_request(got, want):
+    """``got`` equals ``want`` field for field, and its values are a
+    float64 matrix with the bits of ``want``'s."""
+    assert got["values"].dtype == np.float64
+    np.testing.assert_array_equal(bits(got["values"]), bits(want["values"]))
+    assert {**got, "values": None} == {**want, "values": None}
+
+
 class TestRequestRoundtrip:
     def test_report(self):
         req = roundtrip({
@@ -35,10 +48,10 @@ class TestRequestRoundtrip:
             "epoch": 3, "values": [1.5, 2.0], "violation": True,
         })
         # A single report is sugar for the one-row batch it stands for.
-        assert req == {
+        assert_same_request(req, {
             "op": "report_batch", "tenant": "t", "machines": ["m1"],
             "epoch": 3, "values": [[1.5, 2.0]], "violations": [True],
-        }
+        })
 
     def test_float_values_survive_bitwise(self):
         # JSON uses repr (shortest round-trip): float64 is preserved
@@ -253,22 +266,22 @@ def batch_req(**overrides):
 class TestReportBatch:
     def test_roundtrip(self):
         req = roundtrip(batch_req(__smuggled="x"))
-        assert req == batch_req()
+        assert_same_request(req, batch_req())
 
     def test_integer_values_are_canonicalized_to_floats(self):
         req = roundtrip(batch_req(values=[[1, 2], [3, 4], [5, 6]]))
-        assert req["values"] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-        assert all(
-            type(v) is float for row in req["values"] for v in row
+        assert req["values"].dtype == np.float64
+        np.testing.assert_array_equal(
+            bits(req["values"]),
+            bits([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
         )
 
     def test_float_values_survive_bitwise(self):
-        import numpy as np
-
         rng = np.random.default_rng(1)
         matrix = (rng.normal(size=(3, 16)) * 1e17).tolist()
         req = roundtrip(batch_req(values=matrix))
-        assert req["values"] == matrix
+        assert req["values"].dtype == np.float64
+        np.testing.assert_array_equal(bits(req["values"]), bits(matrix))
 
     def test_carries_optional_fence(self):
         assert roundtrip(batch_req(fence=5))["fence"] == 5
@@ -308,6 +321,63 @@ class TestReportBatch:
     def test_invalid_batches(self, obj):
         with pytest.raises(MalformedFrame):
             parse_request(obj)
+
+
+#: Floats whose JSON text is easiest to get wrong.
+EDGE_FLOATS = [
+    -0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+class TestValueMatrix:
+    """A report's values stay the float64 matrix the parser validated."""
+
+    @pytest.mark.parametrize("obj", [
+        {
+            "op": "report", "tenant": "t", "machine": "m0", "epoch": 0,
+            "values": [1, 2.5, 3], "violation": False,
+        },
+        batch_req(values=[[1, 2.5], [3, 4], [5, 6]]),
+    ], ids=["report", "report_batch"])
+    def test_values_are_a_read_only_float64_matrix(self, obj):
+        values = roundtrip(obj)["values"]
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.ndim == 2
+        assert values.flags.c_contiguous
+        assert not values.flags.writeable
+        rows = obj["values"] if obj["op"] == "report_batch" else [
+            obj["values"]
+        ]
+        np.testing.assert_array_equal(bits(values), bits(rows))
+
+    def test_non_finite_tokens_keep_their_values(self):
+        line = (
+            b'{"op":"report_batch","tenant":"t","epoch":0,'
+            b'"machines":["a","b"],"values":[[NaN,1],[Infinity,-Infinity]],'
+            b'"violations":[false,true]}'
+        )
+        values = parse_request(decode_frame(line))["values"]
+        np.testing.assert_array_equal(
+            bits(values), bits([[np.nan, 1.0], [np.inf, -np.inf]])
+        )
+
+    def test_matrix_encodes_like_its_lists(self):
+        rows = [EDGE_FLOATS, EDGE_FLOATS[::-1]]
+        as_lists = batch_req(machines=["m0", "m1"], values=rows,
+                             violations=[False, True])
+        as_matrix = {**as_lists, "values": np.array(rows)}
+        assert encode_frame(as_matrix) == encode_frame(as_lists)
+        # ... and so does the parser's own matrix, on a replication push.
+        parsed = roundtrip(as_lists)
+        push = {"op": "repl_frames", "tenant": "t",
+                "records": [{**parsed, "seq": 1}]}
+        listed = {**push, "records": [{**as_lists, "seq": 1}]}
+        assert encode_frame(push) == encode_frame(listed)
+
+    def test_other_objects_still_fail_to_encode(self):
+        with pytest.raises(TypeError):
+            encode_frame({"op": "ping", "x": object()})
 
 
 class TestBoolValueRegression:
@@ -513,4 +583,4 @@ class TestParseRequestProperties:
         }
         if fence is not None:
             report["fence"] = batch["fence"] = fence
-        assert roundtrip(report) == roundtrip(batch)
+        assert_same_request(roundtrip(report), roundtrip(batch))

@@ -235,8 +235,8 @@ class TestCollectionPipeline:
         quality = summary.quality
         assert quality.n_reporting == 3
         assert quality.coverage == pytest.approx(3 / 4)
-        # one agent-side dropped sample plus one NaN report entry
-        assert quality.dropped_samples == 2
+        # one dropped sample, which "a"'s report carries as a NaN entry
+        assert quality.dropped_samples == 1
         assert quality.n_stale_agents == 1  # "d" missed this epoch
 
     def test_circuit_breaker_removes_dead_machine_from_fleet(self):
