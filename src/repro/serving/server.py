@@ -57,6 +57,13 @@ logger = logging.getLogger(__name__)
 #: How statuses from the tenant/supervisor layer map onto the wire.
 _OK_STATUSES = {"applied", "duplicate"}
 
+#: Received pieces an unfinished frame may hold before they are joined.
+#: A frame of the default 1 MiB cap fills at most 17 reads of 64 KiB;
+#: more pieces mean a sender trickling short segments, and joining them
+#: keeps the connection's memory near its frame's bytes, not ~200 bytes
+#: of view per segment.
+_MAX_PIECES = 32
+
 
 class IngestServer:
     """The durable multi-tenant ingestion service."""
@@ -213,12 +220,12 @@ class IngestServer:
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         conn.settimeout(self.cfg.idle_timeout_s)
-        # The unfinished frame, as the pieces received since its start.
-        # Only a new chunk is searched for newlines (``find``, a memchr;
-        # ``split`` walks byte by byte), and a frame that spans chunks
-        # is joined once, when its newline arrives, so each received
-        # byte is scanned once and copied about once.
-        partial: List[bytes] = []
+        # The unfinished frame, as views of the pieces received since its
+        # start.  Only a new chunk is searched for newlines (``find``, a
+        # memchr; ``split`` walks byte by byte), and a frame is joined
+        # from its views once, when its newline arrives, so each
+        # received byte is scanned once and copied once.
+        partial: List[memoryview] = []
         partial_bytes = 0
         try:
             while not self._stopping.is_set():
@@ -240,15 +247,18 @@ class IngestServer:
                 if not chunk:
                     return
                 lines: List[bytes] = []
+                view = memoryview(chunk)
                 start, end = 0, chunk.find(b"\n")
                 while end >= 0:
-                    partial.append(chunk[start:end])
+                    partial.append(view[start:end])
                     lines.append(b"".join(partial))
                     partial, partial_bytes = [], 0
                     start, end = end + 1, chunk.find(b"\n", end + 1)
                 if start < len(chunk):
-                    partial.append(chunk[start:])
+                    partial.append(view[start:])
                     partial_bytes += len(chunk) - start
+                    if len(partial) > _MAX_PIECES:
+                        partial = [memoryview(b"".join(partial))]
                 if not lines:
                     if partial_bytes > self.cfg.max_frame_bytes:
                         conn.sendall(wire.encode_frame(

@@ -22,9 +22,10 @@ Requests (``op`` selects the verb):
     stream).  Reports are *epoch-addressed*, so a client that resends
     after a reconnect is safe: a frame for an already-closed epoch is
     acknowledged as a duplicate no-op, never applied twice.  Acks carry
-    ``n``, the number of machine reports the frame covered.  A row that is not the tenant's ``n_metrics`` wide
-    is rejected with ``bad-shape`` before it is journaled (the wire
-    layer does not know the tenant's configuration).
+    ``n``, the number of machine reports the frame covered.  A row that
+    is not the tenant's ``n_metrics`` wide is rejected with
+    ``bad-shape`` before it is journaled (the wire layer does not know
+    the tenant's configuration).
 ``report``
     ``{"op": "report", "tenant": t, "machine": m, "epoch": e,
     "values": [...], "violation": bool}`` — one machine's vector.  Pure

@@ -346,10 +346,30 @@ def _window():
     return b"".join(frames)
 
 
-def _acks_for(root, window, piece_sizes):
+class _ShortReads:
+    """A connection whose every ``recv`` returns at most one byte."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def recv(self, n):
+        return self._sock.recv(min(n, 1))
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _OneByteReadServer(IngestServer):
+    """Serves every connection through one-byte reads."""
+
+    def _serve_connection(self, conn, addr):
+        super()._serve_connection(_ShortReads(conn), addr)
+
+
+def _acks_for(root, window, piece_sizes, server_cls=IngestServer):
     """The acks a fresh server sends for ``window`` delivered in pieces
     of the given sizes, cycled."""
-    srv = IngestServer(small_cfg(), root)
+    srv = server_cls(small_cfg(), root)
     srv.start()
     try:
         sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
@@ -376,6 +396,16 @@ class TestReceiveLoop:
             None, None, None, None, "malformed", None, None, None,
         ]
         assert whole[-1]["state"]["next_epoch"] == 1
+
+    def test_one_byte_reads_are_acked_like_whole_chunks(self, tmp_path):
+        # Every frame spans more reads than an unfinished frame may hold
+        # as pieces, so the server joins them on the way.
+        window = _window()
+        whole = _acks_for(tmp_path / "whole", window, [65536])
+        short = _acks_for(
+            tmp_path / "short", window, [65536], _OneByteReadServer
+        )
+        assert short == whole
 
     def test_unterminated_frame_past_the_cap_in_pieces(self, server):
         srv = server(max_frame_bytes=256)
